@@ -3,9 +3,7 @@
 All randomised commands take a mandatory seed, and every subcommand except
 ``bench`` is byte-deterministic for a fixed (command, input, seed).  Exit
 codes: 0 success, 1 verification mismatch, 2 usage, 3 format error, 4 I/O
-error.  The FAULTPATH_THREADS variable is accepted as a thread budget; the
-current implementation always runs the deterministic single-threaded
-schedule, which is a valid instance of the concurrency contract.
+error.
 """
 from __future__ import annotations
 
@@ -375,7 +373,6 @@ def machine_info() -> dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "thread_budget": os.environ.get("FAULTPATH_THREADS", "1"),
     }
 
 

@@ -1,9 +1,9 @@
-from .static import IncrementalDso, IntervalNotOnPath, build_dso
+from .static import IncrementalDso, IntervalNotOnPath
 from .incremental import DuplicateEdge, TieDetected, insert_edge
 from .offline import OfflineDso, Timeline, build_timeline
 
 __all__ = [
-    "IncrementalDso", "IntervalNotOnPath", "build_dso",
+    "IncrementalDso", "IntervalNotOnPath",
     "DuplicateEdge", "TieDetected", "insert_edge",
     "OfflineDso", "Timeline", "build_timeline",
 ]

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..pathform import ProperForm, seg_down, seg_edge, seg_up, to_proper_form, \
-    pf_intersects_interval, pf_segments
+from ..pathform import CandidatePath, ProperForm, seg_down, seg_edge, seg_up, \
+    to_proper_form, pf_intersects_interval, pf_segments
 from ..spt import SptForest
 from ..weights import CompositeWeight as W
-from .static import IncrementalDso, anchors
+from .static import IncrementalDso, _pf_min, anchors
 
 
 class DuplicateEdge(ValueError):
@@ -35,11 +35,15 @@ class CaseUnmatched(AssertionError):
 
 
 class InsertionContext:
-    """Shared state for one insertion: old and new structure side by side."""
+    """Shared state for one insertion: old and new structure side by side.
+
+    Forms read from ``old_table`` or ``old_query`` are expanded against
+    ``old_forest``; forms leaving ``gate`` are made against ``new_forest``.
+    """
 
     __slots__ = (
         "dso", "old_forest", "old_table", "new_forest", "eid", "x", "y", "w",
-        "fov", "_pair", "_pf_cache", "_oq_cache",
+        "_pair", "_pf_cache", "_oq_cache",
     )
 
     def __init__(self, dso: IncrementalDso, new_forest: SptForest,
@@ -52,8 +56,6 @@ class InsertionContext:
         self.x = x
         self.y = y
         self.w = w
-        fmap = {dso.forest.version: dso.forest, new_forest.version: new_forest}
-        self.fov = fmap.__getitem__
         self._pair: dict = {}
         self._pf_cache: dict = {}
         self._oq_cache: dict = {}
@@ -105,7 +107,7 @@ class InsertionContext:
         else:
             if left is None:
                 return None
-            segs.extend(pf_segments(left, self.fov, u))
+            segs.extend(pf_segments(left, self.old_forest, u))
         segs.append(seg_edge(self.eid, ex, ey, self.w))
         if right_default:
             if self.old_forest.dist(ey, v) is None:
@@ -115,7 +117,7 @@ class InsertionContext:
         else:
             if right is None:
                 return None
-            segs.extend(pf_segments(right, self.fov, ey))
+            segs.extend(pf_segments(right, self.old_forest, ey))
         return segs
 
     # -- the canonicalising gate against the new graph -------------------
@@ -129,11 +131,9 @@ class InsertionContext:
             if hit is not False:
                 pf = hit
             else:
-                from ..pathform import CandidatePath
                 pf = to_proper_form(CandidatePath(segs), self.new_forest)
                 self._pf_cache[cache_key] = pf
         else:
-            from ..pathform import CandidatePath
             pf = to_proper_form(CandidatePath(segs), self.new_forest)
         if pf is None:
             return None
@@ -202,14 +202,6 @@ def _opt_add3(a: Optional[W], w: W, b: Optional[W]) -> Optional[W]:
     if a is None or b is None:
         return None
     return a + w + b
-
-
-def _pf_min(a: Optional[ProperForm], b: Optional[ProperForm]) -> Optional[ProperForm]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.length <= b.length else b
 
 
 def dispatch_changed(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> Optional[ProperForm]:
@@ -285,8 +277,7 @@ def dispatch_unchanged(ctx: InsertionContext, u: int, v: int, i: int, j: int) ->
     if old_pf is not None and ctx.pf_survives(old_pf):
         # endpoints kept their distances, so the stored decomposition is the
         # same pair of tree paths and still clears the same interval
-        best = ProperForm(old_pf.u, old_pf.x, old_pf.bridge, old_pf.y,
-                          old_pf.v, old_pf.length, nf.version)
+        best = old_pf
     else:
         best = t(_pf_as_segs(ctx, old_pf, u))
     for ex, ey, P, Q, p_vtx, q_vtx, floor in orients:
@@ -318,7 +309,7 @@ def dispatch_unchanged(ctx: InsertionContext, u: int, v: int, i: int, j: int) ->
 def _pf_as_segs(ctx: InsertionContext, pf: Optional[ProperForm], start: int):
     if pf is None:
         return None
-    return pf_segments(pf, ctx.fov, start)
+    return pf_segments(pf, ctx.old_forest, start)
 
 
 def _insert_creates_tie(old: SptForest, new: SptForest, x: int, y: int, w: W) -> bool:
@@ -365,7 +356,7 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
         tie = dso.ties.next()
     w = W(w_base, tie)
     g2, eid = g.plus_edge(x, y, w, eid=eid)
-    new_forest = SptForest.build(g2, version=dso.version + 1)
+    new_forest = SptForest.build(g2)
     if _insert_creates_tie(dso.forest, new_forest, x, y, w):
         raise TieDetected("inserted weight creates equal-length paths")
 
@@ -388,6 +379,4 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
     dso.graph = g2
     dso.forest = new_forest
     dso.table = new_table
-    dso.version = new_forest.version
-    dso._forests = {new_forest.version: new_forest}
     return eid

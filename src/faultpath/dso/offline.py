@@ -171,9 +171,7 @@ def build_timeline(timeline: Timeline, seed: int = 0,
 
 
 def _clone(dso: IncrementalDso) -> IncrementalDso:
-    c = IncrementalDso(dso.graph, dso.forest, dso.table, dso.version, dso.ties)
-    c._forests = dict(dso._forests)
-    return c
+    return IncrementalDso(dso.graph, dso.forest, dso.table, dso.ties)
 
 
 class CycleTimeline:

@@ -1,10 +1,11 @@
 """Binary snapshot of a built oracle: build once, query many times.
 
-Layout (little endian): magic, format version, graph section (edge ids kept
-sparse), then the interval table.  Trees and LCA structures are rebuilt on
-load, and every stored entry's length is re-derived and checked against the
-dump.  The format is documented here and versioned; stability across package
-versions is not guaranteed.
+Layout (little endian): magic, format version, vertex count, a reserved
+int32 (written as 0, ignored on load), edge count, graph section (edge ids
+kept sparse), then the interval table.  Trees and LCA structures are
+rebuilt on load, and every stored entry's length is re-derived and checked
+against the dump.  The format is documented here and versioned; stability
+across package versions is not guaranteed.
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ class SnapshotError(ValueError):
 
 
 def save_dso(dso: IncrementalDso, path: str) -> None:
-    out = [MAGIC, struct.pack("<HIiI", FORMAT, dso.graph.n, dso.version,
-                              len(dso.graph.edges))]
+    out = [MAGIC, struct.pack("<HIiI", FORMAT, dso.graph.n, 0, len(dso.graph.edges))]
     for eid in sorted(dso.graph.edges):
         e = dso.graph.edges[eid]
         out.append(struct.pack("<IIIqq", eid, e.u, e.v, e.w.base, e.w.tie))
@@ -50,7 +50,7 @@ def load_dso(path: str, seed: int = 0) -> IncrementalDso:
     if data[:5] != MAGIC:
         raise SnapshotError("not a snapshot file")
     off = 5
-    fmt, n, version, m = struct.unpack_from("<HIiI", data, off)
+    fmt, n, _reserved, m = struct.unpack_from("<HIiI", data, off)
     off += struct.calcsize("<HIiI")
     if fmt != FORMAT:
         raise SnapshotError(f"unsupported snapshot format {fmt}")
@@ -59,7 +59,7 @@ def load_dso(path: str, seed: int = 0) -> IncrementalDso:
         eid, u, v, base, tie = struct.unpack_from("<IIIqq", data, off)
         off += struct.calcsize("<IIIqq")
         g.add_edge(u, v, W(base, tie), eid=eid)
-    forest = SptForest.build(g, version=version)
+    forest = SptForest.build(g)
     (npairs,) = struct.unpack_from("<I", data, off)
     off += 4
     table: dict = {}
@@ -82,6 +82,6 @@ def load_dso(path: str, seed: int = 0) -> IncrementalDso:
             length = length + forest.dist(y, v)
             if (length.base, length.tie) != (lb, lt):
                 raise SnapshotError(f"corrupt entry for pair ({u}, {v})")
-            sub[(i, j)] = ProperForm(u, x, b, y, v, length, version)
+            sub[(i, j)] = ProperForm(u, x, b, y, v, length)
         table[(u, v)] = sub
-    return IncrementalDso(g, forest, table, version, TieSource(seed + 7919))
+    return IncrementalDso(g, forest, table, TieSource(seed + 7919))

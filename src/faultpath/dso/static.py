@@ -96,26 +96,23 @@ class IncrementalDso:
     """All-pairs interval-avoidance table plus per-source trees.
 
     ``table[(u, v)][(i, j)]`` (u < v) holds the entry for the interval
-    [u + i, v - j] of pi(u, v), as a ProperForm or None.  ``version`` tags the
-    graph the proper forms refer to; insertions bump it.
+    [u + i, v - j] of pi(u, v), as a ProperForm or None.  Every stored form
+    is made against ``forest``; insertions replace both together.
     """
 
-    __slots__ = ("graph", "forest", "table", "version", "ties", "_forests")
+    __slots__ = ("graph", "forest", "table", "ties")
 
-    def __init__(self, graph: Graph, forest: SptForest, table, version: int,
-                 ties: TieSource):
+    def __init__(self, graph: Graph, forest: SptForest, table, ties: TieSource):
         self.graph = graph
         self.forest = forest
         self.table = table
-        self.version = version
         self.ties = ties
-        self._forests = {version: forest}
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def build(cls, graph: Graph, seed: int = 0) -> "IncrementalDso":
-        forest = SptForest.build(graph, version=0)
+        forest = SptForest.build(graph)
         table: dict = {}
         n = graph.n
         for u in range(n):
@@ -124,21 +121,15 @@ class IncrementalDso:
                 if spt_u.dist[v] is None:
                     continue
                 table[(u, v)] = _build_pair(graph, forest, u, v)
-        return cls(graph, forest, table, 0, TieSource(seed + 7919))
+        return cls(graph, forest, table, TieSource(seed + 7919))
 
     # -- helpers ----------------------------------------------------------
-
-    def forest_of_version(self, version: int) -> SptForest:
-        return self._forests[version]
 
     def entry(self, u: int, v: int, i: int, j: int) -> Optional[ProperForm]:
         """Stored anchored entry, (i, j) measured from the (u, v) orientation."""
         if u < v:
             return self.table[(u, v)].get((i, j))
         return self.table[(v, u)].get((j, i))
-
-    def pf_to_path(self, pf: ProperForm, start: Optional[int] = None):
-        return pf_path(pf, self._forests.__getitem__, start)
 
     # -- queries ----------------------------------------------------------
 
@@ -170,7 +161,7 @@ class IncrementalDso:
         h = f.hops(u, v)
         if pa == pb:
             # empty interval: nothing to avoid
-            return ProperForm(u, v, None, v, v, f.dist(u, v), self.version)
+            return ProperForm(u, v, None, v, v, f.dist(u, v))
         jr = h - pb
         if _anchored(pa) and _anchored(jr):
             return self.table[(u, v)].get((pa, jr))
@@ -181,7 +172,6 @@ class IncrementalDso:
         a2 = spt_u.ancestor_at_depth(v, pa - i)
         b2 = spt_u.ancestor_at_depth(v, pb + j)
 
-        fov = self._forests.__getitem__
         best: Optional[ProperForm] = None
 
         # inner detour between the pulled-back anchors, stitched to the pair
@@ -190,7 +180,7 @@ class IncrementalDso:
             segs = []
             if a2 != u:
                 segs.append(seg_down(spt_u, u, a2))
-            segs.extend(pf_segments(e1, fov, a2))
+            segs.extend(pf_segments(e1, f, a2))
             if b2 != v:
                 segs.append(seg_up(spt_v, b2, v))
             best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
@@ -205,13 +195,13 @@ class IncrementalDso:
             segs = []
             if a2 != u:
                 segs.append(seg_down(spt_u, u, a2))
-            segs.extend(pf_segments(e3, fov, a2))
+            segs.extend(pf_segments(e3, f, a2))
             best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
 
         # prefix-anchored detour of (u, b2) plus suffix walk
         e4 = self.entry(u, b2, i, j)
         if e4 is not None:
-            segs = list(pf_segments(e4, fov, u))
+            segs = list(pf_segments(e4, f, u))
             if b2 != v:
                 segs.append(seg_up(spt_v, b2, v))
             best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
@@ -251,12 +241,8 @@ class IncrementalDso:
             return None, None
         if not want_path:
             return pf.length, None
-        path = self.pf_to_path(pf, v if swap else u)
+        path = pf_path(pf, f, v if swap else u)
         return pf.length, path.edge_ids()
-
-
-def build_dso(graph: Graph, seed: int = 0) -> IncrementalDso:
-    return IncrementalDso.build(graph, seed)
 
 
 def _pf_min(a: Optional[ProperForm], b: Optional[ProperForm]) -> Optional[ProperForm]:

@@ -44,10 +44,14 @@ def detour_rich(n: int, seed: int) -> Graph:
     edges = [(i, i + 1, 100) for i in range(n - 1)]
     for i in range(n - 2):
         edges.append((i, i + 2, 205 + rng.randint(0, 20)))
+    chords: set[tuple[int, int]] = set()
     for _ in range(max(2, n // 8)):
         i = rng.randrange(n - 4)
         j = min(n - 1, i + rng.randint(3, 6))
-        edges.append((i, j, 100 * (j - i) + rng.randint(8, 60)))
+        w = 100 * (j - i) + rng.randint(8, 60)
+        if (i, j) not in chords:  # graph files allow no parallel edges
+            chords.add((i, j))
+            edges.append((i, j, w))
     return perturb_and_verify(n, edges, seed)
 
 

@@ -15,7 +15,6 @@ from typing import Iterator, Optional
 
 from .dso.static import IncrementalDso
 from .graph import Graph, TIE_RANGE
-from .reference import _dijkstra_all
 from .spt import SptForest, dijkstra, tie_free
 from .weights import CompositeWeight as W
 
@@ -200,30 +199,16 @@ class OffPathMatrix:
         self.graph = graph
         self.path_verts = path_verts
         self.pos_of = {v: i for i, v in enumerate(path_verts)}
-        self.dist: list[list[Optional[W]]] = []
-        self._parent = []
-        self._parent_edge = []
-        for v in path_verts:
-            dist, par, pare = _dijkstra_all(graph, v, blocked)
-            self.dist.append([dist[w] for w in path_verts])
-            self._parent.append(par)
-            self._parent_edge.append(pare)
+        self._trees = [dijkstra(graph, v, blocked=blocked) for v in path_verts]
+        self.dist: list[list[Optional[W]]] = [
+            [tree.dist[w] for w in path_verts] for tree in self._trees]
 
     def d(self, i: int, j: int) -> Optional[W]:
         return self.dist[i][j]
 
     def path(self, i: int, j: int) -> list[int]:
         """Edge ids of the off-path route from position i to position j."""
-        par = self._parent[i]
-        pare = self._parent_edge[i]
-        v = self.path_verts[j]
-        src = self.path_verts[i]
-        out = []
-        while v != src:
-            out.append(pare[v])
-            v = par[v]
-        out.reverse()
-        return out
+        return self._trees[i].path_edges(self.path_verts[j])
 
 
 @dataclass
@@ -452,16 +437,6 @@ class Frp2Solver:
         out.extend(m.path(b, z))
         out.extend(self.path_eids[z:])
         return out
-
-    def stream(self, sink) -> None:
-        """Emit every required (d1, d2) answer: d2 runs over each rp1 path."""
-        for d1_pos in range(len(self.path_eids)):
-            rp = self.frp1.paths[d1_pos]
-            if rp is None:
-                continue
-            d1 = self.path_eids[d1_pos]
-            for d2 in rp:
-                sink(d1, d2, self.answer_pair(d1, d2))
 
 
 def iter_required_pairs(solver: Frp2Solver) -> Iterator[tuple[int, int]]:

@@ -152,13 +152,15 @@ def _removal_sample(g: Graph, seed: int, k: int = 8) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# text format: `p <n> <m>`, then `e <u> <v> <w>` lines, `c` comments
+# text format: `p <n> <m>`, then `e <u> <v> <w>` lines, `c` comments; the
+# graph must be simple (no self-loops, no two edges between the same pair)
 # ---------------------------------------------------------------------------
 
 def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     n = None
     declared_m = 0
     edges: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -182,6 +184,10 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int, int]]]:
                 raise GraphFormatError(f"line {lineno}: vertex out of range")
             if w < 0:
                 raise GraphFormatError(f"line {lineno}: negative weight")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise GraphFormatError(f"line {lineno}: parallel edge ({u}, {v})")
+            seen.add(key)
             edges.append((u, v, w))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")

@@ -24,8 +24,9 @@ class ProperForm(NamedTuple):
     """Path u -> v as shortest(u, x) + bridge + shortest(y, v).
 
     ``bridge is None`` means x == y (two shortest halves) or, when also
-    x == v, the plain shortest path.  ``length`` is re-derived from tree
-    distances of the owning graph version.
+    x == v, the plain shortest path.  The halves are tree paths of the
+    forest the form was made against; ``length`` is re-derived from its
+    tree distances.
     """
 
     u: int
@@ -34,7 +35,6 @@ class ProperForm(NamedTuple):
     y: int
     v: int
     length: W
-    version: int
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +67,10 @@ def seg_explicit(vertices: list[int], eids: list[int], lengths: list[W]):
 class CandidatePath:
     """Concatenation of segments with O(log) indexed access.
 
-    Supports ``vertex(i)`` for 0 <= i <= num_edges, ``edge(i)`` and composite
-    ``prefix_len(i)``.  Segments must chain end-to-start; zero-edge segments
-    are dropped.
+    Supports ``vertex(i)`` for 0 <= i <= num_edges, ``edge(i)`` and
+    ``probe(i)``, which gives vertex i with the composite length of the first
+    i edges.  Segments must chain end-to-start; zero-edge segments are
+    dropped.
     """
 
     __slots__ = ("segs", "cum_edges", "cum_len", "num_edges", "length", "start", "end")
@@ -134,35 +135,8 @@ class CandidatePath:
             return s[1]
         return s[2][j]
 
-    def prefix_len(self, i: int) -> W:
-        """Composite length of the first i edges."""
-        if i == 0:
-            return ZERO
-        if i == self.num_edges:
-            return self.length
-        k = self._locate(i)
-        s = self.segs[k]
-        j = i - self.cum_edges[k]
-        base = self.cum_len[k]
-        if j == s[4]:
-            return self.cum_len[k + 1]
-        kind = s[0]
-        if kind == "d":
-            spt, top, bottom = s[1], s[2], s[3]
-            z = spt.ancestor_at_depth(bottom, spt.depth[top] + j)
-            dz, dt = spt.dist[z], spt.dist[top]
-            return W(base.base + dz.base - dt.base, base.tie + dz.tie - dt.tie)
-        if kind == "u":
-            spt, bottom = s[1], s[3]
-            z = spt.ancestor_at_depth(bottom, spt.depth[bottom] - j)
-            db, dz = spt.dist[bottom], spt.dist[z]
-            return W(base.base + db.base - dz.base, base.tie + db.tie - dz.tie)
-        if kind == "e":
-            return base + s[5] if j else base
-        return base + s[3][j]
-
     def probe(self, i: int) -> tuple[int, W]:
-        """(vertex(i), prefix_len(i)) with a single segment lookup."""
+        """Vertex i and the composite length of the first i edges."""
         if i == 0:
             return self.start, ZERO
         if i == self.num_edges:
@@ -200,9 +174,9 @@ def explicit_path(graph, vertices: list[int], eids: list[int]) -> CandidatePath:
     return CandidatePath([seg_explicit(vertices, eids, lengths)])
 
 
-def pf_segments(pf: ProperForm, forest_of_version, start: int):
-    """Expand a proper form into segments oriented to begin at ``start``."""
-    forest = forest_of_version(pf.version)
+def pf_segments(pf: ProperForm, forest: SptForest, start: int):
+    """Expand a proper form made against ``forest`` into segments oriented
+    to begin at ``start``."""
     segs = []
     if start == pf.u:
         if pf.x != pf.u:
@@ -225,8 +199,8 @@ def pf_segments(pf: ProperForm, forest_of_version, start: int):
     return segs
 
 
-def pf_path(pf: ProperForm, forest_of_version, start: Optional[int] = None) -> CandidatePath:
-    return CandidatePath(pf_segments(pf, forest_of_version, pf.u if start is None else start))
+def pf_path(pf: ProperForm, forest: SptForest, start: Optional[int] = None) -> CandidatePath:
+    return CandidatePath(pf_segments(pf, forest, pf.u if start is None else start))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +220,7 @@ def to_proper_form(path: CandidatePath, forest: SptForest) -> Optional[ProperFor
     v = path.end
     du = forest.spts[u].dist
     if ne == 0:
-        return ProperForm(u, u, None, u, u, ZERO, forest.version)
+        return ProperForm(u, u, None, u, u, ZERO)
 
     lo, hi = 0, ne  # predicate(lo) always true
     while lo < hi:
@@ -258,9 +232,9 @@ def to_proper_form(path: CandidatePath, forest: SptForest) -> Optional[ProperFor
             hi = mid - 1
     j = lo
     if j == ne:
-        return ProperForm(u, v, None, v, v, du[v], forest.version)
+        return ProperForm(u, v, None, v, v, du[v])
 
-    x = path.vertex(j)
+    x, tail_x = path.probe(j)
     total = path.length
     # remainder after one bridge edge
     y, tail = path.probe(j + 1)
@@ -269,13 +243,12 @@ def to_proper_form(path: CandidatePath, forest: SptForest) -> Optional[ProperFor
     if dyv is not None and dyv == rest:
         eid = path.edge(j)
         length = du[x] + forest.graph.edges[eid].w + dyv
-        return ProperForm(u, x, eid, y, v, length, forest.version)
+        return ProperForm(u, x, eid, y, v, length)
     # remainder without a bridge (two shortest halves meeting at x)
-    tail_x = path.prefix_len(j)
     rest_x = W(total.base - tail_x.base, total.tie - tail_x.tie)
     dxv = forest.spts[x].dist[v]
     if dxv is not None and dxv == rest_x:
-        return ProperForm(u, x, None, x, v, du[x] + dxv, forest.version)
+        return ProperForm(u, x, None, x, v, du[x] + dxv)
     return None
 
 
@@ -284,7 +257,7 @@ def pf_intersects_interval(pf: ProperForm, forest: SptForest, u: int, v: int,
     """Does the proper form share an edge with positions [pa, pb] of pi(u, v)?
 
     Constant-time LCA test; ``pf`` must be oriented u -> v and its prefix and
-    suffix must live in ``forest`` (same graph version as the interval).
+    suffix must be tree paths of ``forest``, the forest of the interval.
     """
     spt_u = forest.spts[u]
     spt_v = forest.spts[v]
@@ -293,7 +266,6 @@ def pf_intersects_interval(pf: ProperForm, forest: SptForest, u: int, v: int,
     if pf.x != pf.u and spt_u.root_paths_share_edge(pf.x, a_vtx, b_vtx):
         return True
     if pf.y != pf.v:
-        h = spt_u.depth[v]
         # seen from v the interval runs [b_vtx .. a_vtx]
         if spt_v.root_paths_share_edge(pf.y, b_vtx, a_vtx):
             return True
@@ -306,14 +278,6 @@ def pf_intersects_interval(pf: ProperForm, forest: SptForest, u: int, v: int,
             if hi - lo == 1 and lo >= pa and hi <= pb and forest.edge_at(u, v, lo) == pf.bridge:
                 return True
     return False
-
-
-def intersects_interval(pf: ProperForm, forest: SptForest, u: int, v: int,
-                        a: int, b: int) -> bool:
-    """Vertex-endpoint flavour of the interval intersection test."""
-    pa = forest.path_pos(u, v, a)
-    pb = forest.path_pos(u, v, b)
-    return pf_intersects_interval(pf, forest, u, v, pa, pb)
 
 
 def transform_avoiding(segs, forest: SptForest, u: int, v: int,

@@ -231,17 +231,15 @@ class SptForest:
     all in O(1)-ish time.
     """
 
-    __slots__ = ("graph", "spts", "version")
+    __slots__ = ("graph", "spts")
 
-    def __init__(self, graph: Graph, spts: list[ShortestPathTree], version: int = 0):
+    def __init__(self, graph: Graph, spts: list[ShortestPathTree]):
         self.graph = graph
         self.spts = spts
-        self.version = version
 
     @classmethod
-    def build(cls, graph: Graph, version: int = 0, with_lca: bool = True) -> "SptForest":
-        spts = [dijkstra(graph, s, with_lca=with_lca) for s in range(graph.n)]
-        return cls(graph, spts, version)
+    def build(cls, graph: Graph, with_lca: bool = True) -> "SptForest":
+        return cls(graph, [dijkstra(graph, s, with_lca=with_lca) for s in range(graph.n)])
 
     def tie_free(self) -> bool:
         return all(tie_free(self.graph, t) for t in self.spts)

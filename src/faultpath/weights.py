@@ -11,7 +11,7 @@ compare equal; this is verified per graph, not assumed (see
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class CompositeWeight(NamedTuple):
@@ -30,19 +30,3 @@ ZERO = W(0, 0)
 
 # Sums must stay representable in the 64-bit snapshot format.
 MAX_BASE_SUM = 2**62
-
-
-def wmin(a: Optional[W], b: Optional[W]) -> Optional[W]:
-    """Minimum of two weights where None means +infinity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
-
-
-def wadd(a: Optional[W], b: Optional[W]) -> Optional[W]:
-    """Saturating addition: None absorbs."""
-    if a is None or b is None:
-        return None
-    return W(a.base + b.base, a.tie + b.tie)

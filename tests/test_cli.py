@@ -10,7 +10,7 @@ from faultpath.cli import bench_frp3, main
 from faultpath.dso.snapshot import load_dso
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import path, random_connected
-from faultpath.graph import dump_graph_text
+from faultpath.graph import dump_graph_text, parse_graph_text
 
 
 def write_graph(tmp_path, g, name="g.graph"):
@@ -107,6 +107,9 @@ def test_gen_hardness_and_family(tmp_path):
     assert main(["gen", "family", "--family", "detour", "--n", "10",
                  "--seed", "1", "--out", str(fam)]) == 0
     assert fam.read_text().startswith("p 10")
+    # this size and seed draw one chord twice; the repeat is dropped
+    _, edges = parse_graph_text(fam.read_text())
+    assert len({frozenset(e[:2]) for e in edges}) == len(edges)
 
 
 def test_verify_suite_exits_zero(tmp_path):
@@ -159,6 +162,19 @@ def test_format_error_exit_code(tmp_path):
     bad.write_text("p 2 1\ne 0 5 3\n")
     rc = main(["frp", "--faults", "1", "--graph", str(bad), "--s", "0", "--t", "1"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("cmd", [["ssrp2", "--s", "0"],
+                                 ["frp", "--faults", "3", "--s", "0", "--t", "2"]],
+                         ids=["ssrp2", "frp3"])
+def test_parallel_edge_is_a_format_error(tmp_path, cmd):
+    gpath = tmp_path / "par.graph"
+    gpath.write_text("p 4 5\ne 0 1 1\ne 0 1 2\ne 1 2 1\ne 2 3 1\ne 3 0 5\n")
+    proc = subprocess.run([sys.executable, "-m", "faultpath", *cmd, "--graph", str(gpath)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: line 3: parallel edge (0, 1)\n"
+    assert proc.stdout == ""
 
 
 def test_io_error_exit_code(tmp_path):

@@ -65,6 +65,8 @@ def test_loader_round_trip_and_errors():
         parse_graph_text("p 2 1\ne 0 5 3\n")
     with pytest.raises(GraphFormatError):
         parse_graph_text("e 0 1 1\n")
+    with pytest.raises(GraphFormatError, match=r"line 3: parallel edge \(1, 0\)"):
+        parse_graph_text("p 3 2\ne 0 1 1\ne 1 0 2\n")
 
 
 def test_overflow_rejected():

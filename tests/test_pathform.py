@@ -26,7 +26,7 @@ def test_candidate_path_indexing(g_small):
         assert p.edge_ids() == f.path_edge_ids(0, v)
         assert p.length == f.dist(0, v)
         for i in range(p.num_edges + 1):
-            assert p.prefix_len(i) == f.dist(0, p.vertex(i))
+            assert p.probe(i)[1] == f.dist(0, p.vertex(i))
         # reversed traversal
         pr = CandidatePath([seg_up(f.spts[0], v, 0)])
         assert pr.vertices() == list(reversed(p.vertices()))

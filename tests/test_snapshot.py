@@ -1,14 +1,20 @@
 import pytest
 
+from faultpath.dso.incremental import insert_edge
 from faultpath.dso.snapshot import SnapshotError, load_dso, save_dso
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import random_connected
 from faultpath.reference import dist_avoiding
 
 
-def test_round_trip_preserves_answers(tmp_path):
+@pytest.mark.parametrize("inserts", [[], [(0, 9, 3), (2, 11, 5)]],
+                         ids=["built", "grown"])
+def test_round_trip_preserves_answers(tmp_path, inserts):
     g = random_connected(14, seed=4)
     dso = IncrementalDso.build(g, seed=1)
+    for x, y, w in inserts:
+        insert_edge(dso, x, y, w)
+    g = dso.graph
     p = tmp_path / "d.dso"
     save_dso(dso, str(p))
     loaded = load_dso(str(p))
