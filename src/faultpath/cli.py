@@ -2,12 +2,14 @@
 
 All randomised commands take a mandatory seed, and every subcommand except
 ``bench`` is byte-deterministic for a fixed (command, input, seed).  Exit
-codes: 0 success, 1 verification mismatch, 2 usage, 3 format error, 4 I/O
-error.
+codes: 0 success, 1 verification mismatch, 2 usage (also a vertex out of
+range, or s and t disconnected), 3 format error (malformed graph, timeline,
+query or snapshot file), 4 I/O error.  Every error is one line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -26,8 +28,8 @@ from .dso.static import IncrementalDso
 from .dso.incremental import insert_edge
 from .frp2 import Frp2Solver, iter_required_pairs
 from .frp3.solver import solve_3frp
-from .graph import Graph, GraphFormatError, dump_graph_text, load_graph, \
-    parse_graph_text, perturb_and_verify
+from .graph import Disconnected, Graph, GraphFormatError, Overflow, dump_graph_text, \
+    load_graph, parse_graph_text, perturb_and_verify
 from .hardness import reduce_graph
 from .reference import OracleReport, dist_avoiding
 from .ssrp import SsrpResolver, ssrp2
@@ -37,6 +39,16 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_IO = 4
+
+
+class UsageError(Exception):
+    """Arguments that do not fit the input, such as a vertex out of range."""
+
+
+def _check_vertices(n: int, **named: int) -> None:
+    for name, x in named.items():
+        if not 0 <= x < n:
+            raise UsageError(f"--{name} {x} is not a vertex of the {n}-vertex graph")
 
 
 def _edge_pair(graph: Graph, eid: int) -> list[int]:
@@ -67,8 +79,9 @@ class _Out:
 
 def cmd_frp(args) -> int:
     g = load_graph(args.graph, args.seed)
-    out = _Out(args.out)
     s, t = args.s, args.t
+    _check_vertices(g.n, s=s, t=t)
+    out = _Out(args.out)
     if args.faults == 1:
         from .frp2 import frp1_all
         r = frp1_all(g, s, t)
@@ -111,6 +124,7 @@ def cmd_dso(args) -> int:
         return EXIT_OK
     if args.action == "query":
         dso = load_dso(args.snapshot)
+        _check_vertices(dso.graph.n, u=args.u, v=args.v)
         out = _Out(args.out)
         eid = _resolve_edge(dso.graph, args.fu, args.fv)
         ln, path = dso.query_edge_failure(args.u, args.v, eid,
@@ -214,6 +228,7 @@ def _present_edges(g: Graph, updates) -> dict[int, tuple[int, int]]:
 
 def cmd_ssrp2(args) -> int:
     g = load_graph(args.graph, args.seed)
+    _check_vertices(g.n, s=args.s)
     out = _Out(args.out)
 
     def sink(d1, d2, t, dist):
@@ -445,18 +460,43 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
             "budget_per_run_s": budget, "machine": machine_info()}
 
 
+def _cpu_seconds(fn) -> float:
+    """CPU time (``process_time``) of one call of ``fn``.
+
+    As in ``timeit``, the cyclic collector runs before and is paused during
+    the call, so a collection of whatever else the process holds is not
+    charged to it.
+    """
+    gc_was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        fn()
+        return time.process_time() - t0
+    finally:
+        if gc_was_on:
+            gc.enable()
+
+
+def _cpu_report(suite: str, timed: list[tuple[int, list[float]]]) -> dict:
+    rows = [{"n": n, "runs": [round(x, 5) for x in times],
+             "median": round(statistics.median(times), 5),
+             "triples": None, "timed_out": False}
+            for n, times in timed]
+    done = [(r["n"], r["median"]) for r in rows]
+    return {"suite": suite, "sizes": rows, "slope": _fit_slope(done),
+            "machine": machine_info()}
+
+
 def bench_dso_incremental(sizes: list[int], seed: int, repeats: int) -> dict:
     """Per-insertion CPU time of ``insert_edge`` at each size.
 
-    CPU time (``process_time``) of the single-threaded call keeps other
-    processes on the machine from inflating the slope.  The sizes are timed
-    round-robin, one insertion each per round, so a drift in machine speed
-    during the run hits every size alike.  As in ``timeit``, the cyclic
-    collector runs before and is paused during each timed call, so a
-    collection of whatever else the process holds is not charged to one
-    insertion.
+    CPU time of the single-threaded call keeps other processes on the
+    machine from inflating the slope.  The sizes are timed round-robin, one
+    insertion each per round, so a drift in machine speed during the run
+    hits every size alike.
     """
-    import gc
     import random as _r
     state = []
     for n in sizes:
@@ -470,29 +510,30 @@ def bench_dso_incremental(sizes: list[int], seed: int, repeats: int) -> dict:
                 if u != v and not dso.graph.has_endpoints(u, v):
                     break
             w = rng.randint(1, 50)
-            gc_was_on = gc.isenabled()
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.process_time()
-                insert_edge(dso, u, v, w)
-                times.append(time.process_time() - t0)
-            finally:
-                if gc_was_on:
-                    gc.enable()
-    rows = [{"n": n, "runs": [round(x, 5) for x in times],
-             "median": round(statistics.median(times), 5),
-             "triples": None, "timed_out": False}
-            for n, _, _, times in state]
-    done = [(r["n"], r["median"]) for r in rows]
-    return {"suite": "dso-incremental", "sizes": rows,
-            "slope": _fit_slope(done), "machine": machine_info()}
+            times.append(_cpu_seconds(lambda: insert_edge(dso, u, v, w)))
+    return _cpu_report("dso-incremental", [(n, times) for n, _, _, times in state])
+
+
+def bench_dso_build(sizes: list[int], seed: int, repeats: int) -> dict:
+    """Per-build CPU time of ``IncrementalDso.build`` at each size.
+
+    Same graphs as ``bench_dso_incremental`` and the same discipline: CPU
+    time, sizes timed round-robin, the collector paused during each call.
+    """
+    state = [(n, families.random_connected(n, seed=seed, extra=2 * n), [])
+             for n in sizes]
+    for _ in range(repeats):
+        for _n, g, times in state:
+            times.append(_cpu_seconds(lambda: IncrementalDso.build(g, seed=seed)))
+    return _cpu_report("dso-build", [(n, times) for n, _, times in state])
 
 
 def cmd_bench(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
     if args.suite == "frp3":
         report = bench_frp3(sizes, args.seed, args.repeats, args.budget)
+    elif args.suite == "dso-build":
+        report = bench_dso_build(sizes, args.seed, args.repeats)
     else:
         report = bench_dso_incremental(sizes, args.seed, args.repeats)
     text = json.dumps(report, indent=1, sort_keys=True)
@@ -573,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="runtime scaling measurements")
-    p.add_argument("--suite", choices=("frp3", "dso-incremental"), required=True)
+    p.add_argument("--suite", choices=("frp3", "dso-incremental", "dso-build"),
+                   required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
@@ -589,7 +631,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphFormatError, SnapshotError, InvalidDelete, TimeOutOfRange) as exc:
+    except (UsageError, Disconnected) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (GraphFormatError, Overflow, SnapshotError, InvalidDelete,
+            TimeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:

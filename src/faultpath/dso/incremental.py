@@ -1,15 +1,33 @@
 """Worst-case edge insertion for the distance sensitivity oracle.
 
-Inserting an edge rebuilds the per-source trees and recomputes every stored
-interval entry from the old structure.  Each pair is classified by whether
-its shortest path changed, then each anchored interval falls into one of a
-dozen positional cases relative to the new edge and the old path's
-divergence/convergence points; every case assembles candidates from old
-entries, old tree paths, and the new edge, all gated through the
-canonicalising transform against the new graph.
+Inserting an edge (x, y) of weight w does only the work the edge can change.
+
+- Trees.  The tree of source s is kept as the same object when neither
+  endpoint is reachable from s, or when both are and d(s, x) + w > d(s, y)
+  and d(s, y) + w > d(s, x): every route through the edge is then strictly
+  longer than one avoiding it, so Dijkstra settles every vertex with the
+  same distance and parent.  Every other tree is rebuilt.
+- Pairs.  A pair (u, v) keeps its old sub-table object when d(u, v) is
+  unchanged, no entry is null, and no entry is longer than the through-edge
+  floor d(u, ex) + w + d(ey, v) of each reachable orientation (ex, ey).
+  Any u-v walk through the edge costs at least the floor, so no entry can
+  improve.  An entry's prefix d(u, x') cannot shorten either: the shorter
+  prefix plus the rest of the entry would be a walk through the edge that
+  beats the entry, hence the floor; the suffix likewise.  So every entry
+  still names the same path, and a non-weak interval cannot become weak.
+  On such a pair the case analysis below would return every old entry
+  object unchanged.
+
+Every other pair is classified by whether its shortest path changed, then
+each anchored interval falls into one of a dozen positional cases relative
+to the new edge and the old path's divergence/convergence points; every
+case assembles candidates from old entries, old tree paths, and the new
+edge, all gated through the canonicalising transform against the new graph.
 
 Old values are only read, new values only written (double buffering), so the
-case formulas always see the pre-insertion structure.
+case formulas always see the pre-insertion structure.  Kept trees and
+reused sub-tables are shared between the old and the new structure and are
+never mutated.
 """
 from __future__ import annotations
 
@@ -17,8 +35,8 @@ from typing import Optional
 
 from ..pathform import CandidatePath, ProperForm, seg_down, seg_edge, seg_up, \
     to_proper_form, pf_intersects_interval, pf_segments
-from ..spt import SptForest
-from ..weights import CompositeWeight as W
+from ..spt import ShortestPathTree, SptForest, dijkstra
+from ..weights import CompositeWeight as W, ZERO
 from .static import IncrementalDso, _pf_min, anchors
 
 
@@ -262,8 +280,13 @@ def dispatch_changed(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> O
 
 def dispatch_unchanged(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> Optional[ProperForm]:
     """New entry for a pair whose shortest path is untouched by the edge."""
-    info = ctx.pair_info(u, v)
-    orients = info[1]
+    orients = ctx.pair_info(u, v)[1]
+    old_pf = ctx.old_table[(u, v)].get((i, j))
+    # endpoints kept their distances, so the stored decomposition is the
+    # same pair of tree paths and still clears the same interval
+    survives = old_pf is not None and ctx.pf_survives(old_pf)
+    if survives and all(floor >= old_pf.length for *_, floor in orients):
+        return old_pf  # no through-edge candidate is shorter than its floor
     nf = ctx.new_forest
     h = nf.hops(u, v)
     pa, pb = i, h - j
@@ -271,14 +294,14 @@ def dispatch_unchanged(ctx: InsertionContext, u: int, v: int, i: int, j: int) ->
     b_v = nf.vertex_at(u, v, pb)
 
     def t(segs, key=None):
+        # a gated form is as long as its walk, and _pf_min keeps best on a
+        # tie, so a walk no shorter than best cannot change the entry
+        if segs is None or (best is not None and _walk_length(segs) >= best.length):
+            return None
         return ctx.gate(segs, u, v, pa, pb, cache_key=key)
 
-    old_pf = ctx.old_table[(u, v)].get((i, j))
-    if old_pf is not None and ctx.pf_survives(old_pf):
-        # endpoints kept their distances, so the stored decomposition is the
-        # same pair of tree paths and still clears the same interval
-        best = old_pf
-    else:
+    best = old_pf if survives else None
+    if best is None:
         best = t(_pf_as_segs(ctx, old_pf, u))
     for ex, ey, P, Q, p_vtx, q_vtx, floor in orients:
         if best is not None and floor >= best.length:
@@ -306,18 +329,53 @@ def dispatch_unchanged(ctx: InsertionContext, u: int, v: int, i: int, j: int) ->
     return best
 
 
+def _walk_length(segs) -> W:
+    total = ZERO
+    for seg in segs:
+        total = total + seg[5]
+    return total
+
+
 def _pf_as_segs(ctx: InsertionContext, pf: Optional[ProperForm], start: int):
     if pf is None:
         return None
     return pf_segments(pf, ctx.old_forest, start)
 
 
-def _insert_creates_tie(old: SptForest, new: SptForest, x: int, y: int, w: W) -> bool:
+def _keeps_tree(tree: ShortestPathTree, x: int, y: int, w: W) -> bool:
+    """Is the old tree of this source still its tree with (x, y, w) added?"""
+    dx, dy = tree.dist[x], tree.dist[y]
+    if dx is None or dy is None:
+        return dx is None and dy is None
+    return dx + w > dy and dy + w > dx
+
+
+def _reuses_pair(ctx: InsertionContext, u: int, v: int) -> bool:
+    """May pair (u, v) keep its old sub-table object (module docstring)?"""
+    of = ctx.old_forest
+    du = of.spts[u].dist
+    if du[v] is None or du[v] != ctx.new_forest.spts[u].dist[v]:
+        return False
+    floor = None
+    for ex, ey in ((ctx.x, ctx.y), (ctx.y, ctx.x)):
+        f = _opt_add3(du[ex], ctx.w, of.spts[ey].dist[v])
+        if f is not None and (floor is None or f < floor):
+            floor = f
+    for pf in ctx.old_table[(u, v)].values():
+        if pf is None or (floor is not None and pf.length > floor):
+            return False
+    return True
+
+
+def _insert_creates_tie(old: SptForest, new: SptForest, x: int, y: int, w: W,
+                        rebuilt: list[int]) -> bool:
     """Any shortest path in the grown graph either avoids the new edge (the
     old unique path) or crosses it once; a tie means two of the three
-    candidate routes hit the new distance for some pair."""
+    candidate routes hit the new distance for some pair.  Only the rows of
+    rebuilt sources can tie: from a kept source, every route through the new
+    edge is strictly longer than the old distance."""
     n = new.graph.n
-    for u in range(n):
+    for u in rebuilt:
         od = old.spts[u].dist
         nd = new.spts[u].dist
         dux, duy = od[x], od[y]
@@ -341,8 +399,11 @@ def _insert_creates_tie(old: SptForest, new: SptForest, x: int, y: int, w: W) ->
 
 def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
                 tie: Optional[int] = None, eid: Optional[int] = None) -> int:
-    """Add an edge and refresh the whole structure; returns the new edge id.
+    """Add an edge and refresh the structure; returns the new edge id.
 
+    Rebuilds only the trees the edge can change and keeps the old sub-table
+    object of every pair that passes the reuse rule of the module docstring;
+    every other stored interval entry is recomputed from the old structure.
     Worst-case cost is one all-sources rebuild plus a constant amount of
     work per stored interval entry.  Raises DuplicateEdge for parallel
     inserts and TieDetected if the fresh weight breaks path uniqueness.
@@ -356,8 +417,16 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
         tie = dso.ties.next()
     w = W(w_base, tie)
     g2, eid = g.plus_edge(x, y, w, eid=eid)
-    new_forest = SptForest.build(g2)
-    if _insert_creates_tie(dso.forest, new_forest, x, y, w):
+    spts = []
+    rebuilt = []
+    for s, tree in enumerate(dso.forest.spts):
+        if _keeps_tree(tree, x, y, w):
+            spts.append(tree)
+        else:
+            spts.append(dijkstra(g2, s, with_lca=True))
+            rebuilt.append(s)
+    new_forest = SptForest(g2, spts)
+    if _insert_creates_tie(dso.forest, new_forest, x, y, w, rebuilt):
         raise TieDetected("inserted weight creates equal-length paths")
 
     ctx = InsertionContext(dso, new_forest, eid, x, y, w)
@@ -367,6 +436,9 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
         spt_u = new_forest.spts[u]
         for v in range(u + 1, n):
             if spt_u.dist[v] is None:
+                continue
+            if _reuses_pair(ctx, u, v):
+                new_table[(u, v)] = ctx.old_table[(u, v)]
                 continue
             h2 = spt_u.depth[v]
             sub = {}

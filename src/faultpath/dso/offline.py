@@ -171,6 +171,9 @@ def build_timeline(timeline: Timeline, seed: int = 0,
 
 
 def _clone(dso: IncrementalDso) -> IncrementalDso:
+    # shallow: the clone shares trees and sub-tables with its parent, which
+    # is safe because insert_edge never mutates either; it replaces the
+    # forest and the table, reusing unchanged trees and sub-tables as they are
     return IncrementalDso(dso.graph, dso.forest, dso.table, dso.ties)
 
 

@@ -47,6 +47,13 @@ def save_dso(dso: IncrementalDso, path: str) -> None:
 def load_dso(path: str, seed: int = 0) -> IncrementalDso:
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _parse(data, seed)
+    except struct.error:
+        raise SnapshotError("truncated snapshot") from None
+
+
+def _parse(data: bytes, seed: int) -> IncrementalDso:
     if data[:5] != MAGIC:
         raise SnapshotError("not a snapshot file")
     off = 5

@@ -11,7 +11,6 @@ always weak, which yields the classic edge-failure query.
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Optional
 
 from ..graph import Graph, TieSource
@@ -19,7 +18,7 @@ from ..pathform import (
     ProperForm, explicit_path, pf_intersects_interval, pf_path, pf_segments,
     seg_down, seg_up, to_proper_form, transform_avoiding,
 )
-from ..spt import SptForest
+from ..spt import SptForest, dijkstra
 from ..weights import CompositeWeight as W
 
 
@@ -51,45 +50,23 @@ def _floor_pow2(x: int) -> int:
     return 1 << (x.bit_length() - 1)
 
 
-def _sssp_path(graph: Graph, s: int, t: int, blocked: int):
-    """Targeted Dijkstra: (length, edge ids) of pi(s, t) in G - blocked."""
-    n = graph.n
-    parent = [-1] * n
-    parent_edge = [0] * n
-    done = [False] * n
-    best: list[Optional[tuple[int, int]]] = [None] * n
-    best[s] = (0, 0)
-    heap = [(0, 0, s)]
-    adj = graph.adj
-    while heap:
-        db, dt, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == t:
-            eids = []
-            while u != s:
-                eids.append(parent_edge[u])
-                u = parent[u]
-            eids.reverse()
-            return W(db, dt), eids
-        for v, eid, wb, wt in adj[u]:
-            if done[v] or (blocked >> eid) & 1:
-                continue
-            cand = (db + wb, dt + wt)
-            if best[v] is None or cand < best[v]:
-                best[v] = cand
-                parent[v] = u
-                parent_edge[v] = eid
-                heappush(heap, (cand[0], cand[1], v))
-    return None, None
+def replacement_paths_for_pair(forest: SptForest, u: int, v: int, trees: dict):
+    """Exact detour length and path for each single edge of pi(u, v).
 
-
-def replacement_paths_for_pair(graph: Graph, forest: SptForest, u: int, v: int):
-    """Exact detour length and path for each single edge of pi(u, v)."""
-    h = forest.hops(u, v)
-    eids = forest.path_edge_ids(u, v)
-    return [_sssp_path(graph, u, v, 1 << eids[k]) for k in range(h)]
+    ``trees`` maps an edge id to the tree of u in G minus that edge; it is
+    filled on demand, so the pairs of one source share their G - e runs.
+    """
+    graph = forest.graph
+    out = []
+    for eid in forest.path_edge_ids(u, v):
+        tree = trees.get(eid)
+        if tree is None:
+            tree = trees[eid] = dijkstra(graph, u, blocked=1 << eid)
+        if tree.dist[v] is None:
+            out.append((None, None))
+        else:
+            out.append((tree.dist[v], tree.path_edges(v)))
+    return out
 
 
 class IncrementalDso:
@@ -117,10 +94,11 @@ class IncrementalDso:
         n = graph.n
         for u in range(n):
             spt_u = forest.spts[u]
+            trees: dict = {}  # edge id -> tree of u in G - e, for this u only
             for v in range(u + 1, n):
                 if spt_u.dist[v] is None:
                     continue
-                table[(u, v)] = _build_pair(graph, forest, u, v)
+                table[(u, v)] = _build_pair(graph, forest, u, v, trees)
         return cls(graph, forest, table, TieSource(seed + 7919))
 
     # -- helpers ----------------------------------------------------------
@@ -253,10 +231,10 @@ def _pf_min(a: Optional[ProperForm], b: Optional[ProperForm]) -> Optional[Proper
     return a if a.length <= b.length else b
 
 
-def _build_pair(graph: Graph, forest: SptForest, u: int, v: int) -> dict:
+def _build_pair(graph: Graph, forest: SptForest, u: int, v: int, trees: dict) -> dict:
     h = forest.hops(u, v)
     path_eids = forest.path_edge_ids(u, v)
-    rp = replacement_paths_for_pair(graph, forest, u, v)
+    rp = replacement_paths_for_pair(forest, u, v, trees)
     sub: dict[tuple[int, int], Optional[ProperForm]] = {}
     for (i, j) in anchors(h):
         sub[(i, j)] = _static_entry(graph, forest, u, v, path_eids, rp, i, h - j)

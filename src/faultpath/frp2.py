@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dso.static import IncrementalDso
-from .graph import Graph, TIE_RANGE
+from .graph import Disconnected, Graph, TIE_RANGE
 from .spt import SptForest, dijkstra, tie_free
 from .weights import CompositeWeight as W
 
@@ -39,7 +39,7 @@ def frp1_all(graph: Graph, s: int, t: int, forest: Optional[SptForest] = None) -
     if forest is None:
         spt = dijkstra(graph, s)
         if spt.dist[t] is None:
-            raise ValueError(f"{s} and {t} are disconnected")
+            raise Disconnected(f"{s} and {t} are disconnected")
         pv = spt.path_vertices(t)
         pe = spt.path_edges(t)
     else:
@@ -228,7 +228,7 @@ class Frp2Solver:
         self.seed = seed
         spt = dijkstra(graph, s, with_lca=False)
         if spt.dist[t] is None:
-            raise ValueError(f"{s} and {t} are disconnected")
+            raise Disconnected(f"{s} and {t} are disconnected")
         self.path_verts = spt.path_vertices(t)
         self.path_eids = spt.path_edges(t)
         self._aux = aux

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..graph import Graph, TIE_RANGE
+from ..graph import Disconnected, Graph, TIE_RANGE
 from ..frp2 import AuxGraphH
 from ..spt import dijkstra
 from ..weights import CompositeWeight as W
@@ -38,7 +38,7 @@ class PaddedInstance:
 def pad_to_power_of_two(graph: Graph, s: int, t: int, seed: int = 0) -> PaddedInstance:
     spt = dijkstra(graph, s)
     if spt.dist[t] is None:
-        raise ValueError(f"{s} and {t} are disconnected")
+        raise Disconnected(f"{s} and {t} are disconnected")
     pv = spt.path_vertices(t)
     pe = spt.path_edges(t)
     h = len(pe)

@@ -27,6 +27,10 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph or timeline files."""
 
 
+class Disconnected(ValueError):
+    """The requested endpoints lie in different components."""
+
+
 class TieUnbreakable(RuntimeError):
     """Perturbation failed to produce unique shortest paths."""
 
@@ -171,13 +175,13 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int, int]]]:
                 raise GraphFormatError(f"line {lineno}: repeated header")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
-            n, declared_m = int(parts[1]), int(parts[2])
+            n, declared_m = _ints(parts[1:], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")
             if len(parts) != 4:
                 raise GraphFormatError(f"line {lineno}: expected 'e <u> <v> <w>'")
-            u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
+            u, v, w = _ints(parts[1:], lineno)
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -196,6 +200,13 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     if declared_m != len(edges):
         raise GraphFormatError(f"header declares {declared_m} edges, found {len(edges)}")
     return n, edges
+
+
+def _ints(fields: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
 
 
 def load_graph(path: str, seed: int) -> Graph:

@@ -132,6 +132,18 @@ def test_bench_dso_incremental_report(tmp_path):
     assert "machine" in rep and rep["slope"] is not None
 
 
+def test_bench_dso_build_report(tmp_path):
+    out = tmp_path / "b.json"
+    rc = main(["bench", "--suite", "dso-build", "--sizes", "8,12", "--repeats", "2",
+               "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["suite"] == "dso-build"
+    assert [row["n"] for row in rep["sizes"]] == [8, 12]
+    assert all(len(row["runs"]) == 2 and not row["timed_out"] for row in rep["sizes"])
+    assert "machine" in rep and rep["slope"] is not None
+
+
 def test_bench_frp3_timed_out_row_is_empty(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     rep = bench_frp3([8], seed=0, repeats=2, budget=0.05)
@@ -181,3 +193,46 @@ def test_io_error_exit_code(tmp_path):
     rc = main(["frp", "--faults", "1", "--graph", str(tmp_path / "nope"),
                "--s", "0", "--t", "1"])
     assert rc == 4
+
+
+MALFORMED_FILES = {
+    "disc": "p 4 2\ne 0 1 3\ne 2 3 4\n",
+    "tri": "p 3 2\ne 0 1 3\ne 1 2 4\n",
+    "frac": "p 3 2\ne 0 1 1.5\ne 1 2 4\n",
+    "huge": "p 2 1\ne 0 1 9999999999999999999999\n",
+}
+QUERY = ["dso", "query", "--u", "0", "--fu", "0", "--fv", "1"]
+
+
+@pytest.mark.parametrize("code,args", [
+    pytest.param(2, ["frp", "--faults", "1", "--graph", "{disc}", "--s", "0", "--t", "3"],
+                 id="frp1-disconnected"),
+    pytest.param(2, ["frp", "--faults", "2", "--graph", "{disc}", "--s", "0", "--t", "3"],
+                 id="frp2-disconnected"),
+    pytest.param(2, ["frp", "--faults", "3", "--graph", "{disc}", "--s", "0", "--t", "3"],
+                 id="frp3-disconnected"),
+    pytest.param(2, ["frp", "--faults", "1", "--graph", "{tri}", "--s", "0", "--t", "9"],
+                 id="t-out-of-range"),
+    pytest.param(3, ["frp", "--faults", "1", "--graph", "{frac}", "--s", "0", "--t", "2"],
+                 id="fractional-weight"),
+    pytest.param(3, ["frp", "--faults", "1", "--graph", "{huge}", "--s", "0", "--t", "1"],
+                 id="overflowing-weight"),
+    pytest.param(3, [*QUERY, "--snapshot", "{trunc}", "--v", "2"], id="truncated-snapshot"),
+    pytest.param(2, [*QUERY, "--snapshot", "{snap}", "--v", "99"], id="query-v-out-of-range"),
+])
+def test_malformed_input_exits_with_one_line(tmp_path, code, args):
+    paths = {}
+    for name, text in MALFORMED_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.graph")
+        (tmp_path / f"{name}.graph").write_text(text)
+    snap = tmp_path / "tri.dso"
+    assert main(["dso", "build", "--graph", paths["tri"], "--out", str(snap)]) == 0
+    trunc = tmp_path / "trunc.dso"
+    trunc.write_bytes(snap.read_bytes()[:20])
+    paths.update(snap=str(snap), trunc=str(trunc))
+    proc = subprocess.run([sys.executable, "-m", "faultpath",
+                           *(a.format(**paths) for a in args)],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

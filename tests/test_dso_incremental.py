@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from faultpath.dso import incremental
 from faultpath.dso.incremental import DuplicateEdge, TieDetected, insert_edge
 from faultpath.dso.static import IncrementalDso
-from faultpath.families import random_connected
+from faultpath.families import detour_rich, random_connected
 from faultpath.graph import perturb_and_verify
 from faultpath.pathform import pf_intersects_interval
 from faultpath.reference import dist_avoiding, weak_classify
@@ -35,12 +36,73 @@ def test_heavy_insert_changes_nothing():
     u, v = next((a, b) for a in range(12) for b in range(a + 1, 12)
                 if not g.has_endpoints(a, b))
     heavy = 10 * sum(e.w.base for e in g.edges.values())
+    old_table, old_trees = dso.table, dso.forest.spts
     insert_edge(dso, u, v, heavy)
+    # every tree is kept; a pair with no null entry keeps its sub-table, and
+    # a pair with one keeps every non-null entry (a null one may gain a
+    # detour through the new edge)
+    assert all(a is b for a, b in zip(dso.forest.spts, old_trees))
+    assert dso.table.keys() == old_table.keys()
+    for pair, old_sub in old_table.items():
+        if None not in old_sub.values():
+            assert dso.table[pair] is old_sub
+        else:
+            assert all(dso.table[pair][k] is pf
+                       for k, pf in old_sub.items() if pf is not None)
     for (a, b, eid), want in before.items():
         got, _ = dso.query_edge_failure(a, b, eid)
         assert got == want
     g2 = dso.graph
     check_all_queries(g2, dso)
+
+
+def _state(dso):
+    """Every table entry as a plain tuple, and every tree's dist/parent_edge."""
+    table = {pair: {k: None if pf is None else tuple(pf) for k, pf in sub.items()}
+             for pair, sub in dso.table.items()}
+    return table, [(t.dist, t.parent_edge) for t in dso.forest.spts]
+
+
+def _grown_states(g, inserts):
+    dso = IncrementalDso.build(g)
+    states = []
+    for u, v, w in inserts:
+        insert_edge(dso, u, v, w)
+        states.append(_state(dso))
+    return states
+
+
+@pytest.mark.parametrize("family,wmax", [(detour_rich, 700), (random_connected, 60)],
+                         ids=["detour_rich", "random_connected"])
+def test_reuse_matches_full_recompute(family, wmax, monkeypatch):
+    g = family(16, seed=4)
+    rng = random.Random(21)
+    inserts, present = [], {frozenset((e.u, e.v)) for e in g.edges.values()}
+    while len(inserts) < 8:
+        u, v = rng.randrange(16), rng.randrange(16)
+        if u != v and frozenset((u, v)) not in present:
+            present.add(frozenset((u, v)))
+            inserts.append((u, v, rng.randint(1, wmax)))
+    counts = {"pairs": 0, "trees": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            hit = fn(*args)
+            counts[name] += hit
+            return hit
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(incremental, "_reuses_pair", counting("pairs", incremental._reuses_pair))
+        m.setattr(incremental, "_keeps_tree", counting("trees", incremental._keeps_tree))
+        shipped = _grown_states(g, inserts)
+    assert counts["pairs"] > 0 and counts["trees"] > 0  # the fast paths ran
+    monkeypatch.setattr(incremental, "_reuses_pair", lambda *args: False)
+    monkeypatch.setattr(incremental, "_keeps_tree", lambda *args: False)
+    full = _grown_states(g, inserts)
+    for step, (got, want) in enumerate(zip(shipped, full)):
+        assert got[0] == want[0], f"table differs after insertion {step}"
+        assert got[1] == want[1], f"forest differs after insertion {step}"
 
 
 def test_zero_base_shortcut_becomes_path():
