@@ -22,14 +22,14 @@ import time
 from typing import Optional
 
 from . import families
-from .dso.offline import InvalidDelete, Timeline, TimeOutOfRange, build_timeline
+from .dso.offline import InvalidDelete, Timeline, build_timeline
 from .dso.snapshot import SnapshotError, load_dso, save_dso
 from .dso.static import IncrementalDso
 from .dso.incremental import insert_edge
 from .frp2 import Frp2Solver, iter_required_pairs
 from .frp3.solver import solve_3frp
-from .graph import Disconnected, Graph, GraphFormatError, Overflow, dump_graph_text, \
-    load_graph, parse_graph_text, perturb_and_verify
+from .graph import Disconnected, Graph, GraphFormatError, Overflow, check_edge, \
+    dump_graph_text, load_graph, parse_graph_text, parse_ints, perturb_and_verify
 from .hardness import reduce_graph
 from .reference import OracleReport, dist_avoiding
 from .ssrp import SsrpResolver, ssrp2
@@ -138,12 +138,13 @@ def cmd_dso(args) -> int:
         return EXIT_OK
     # offline
     tl, queries = _load_timeline(args.timeline, args.queries, args.seed)
+    by_step: dict[int, list] = {}
+    for q in queries:
+        by_step.setdefault(q[0], []).append(q)
     answers = {}
 
     def on_leaf(t, dso):
-        for (qt, u, v, fu, fv) in queries:
-            if qt != t:
-                continue
+        for (qt, u, v, fu, fv) in by_step.get(t, ()):
             eid = _resolve_edge(dso.graph, fu, fv)
             ln, _ = dso.query_edge_failure(u, v, eid)
             answers[(qt, u, v, fu, fv)] = None if ln is None else ln.base
@@ -170,56 +171,56 @@ def _load_timeline(path: str, queries_path: Optional[str], seed: int):
         lines = fh.read().splitlines()
     graph_lines = []
     update_lines = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         st = line.strip()
         if st.startswith(("+", "-")):
-            update_lines.append(st)
+            update_lines.append((lineno, st.split()))
         else:
             graph_lines.append(line)
     n, edges = parse_graph_text("\n".join(graph_lines))
     g = perturb_and_verify(n, edges, seed)
     tl = Timeline(g)
-    for st in update_lines:
-        parts = st.split()
+    # edge id by endpoints at the current step; an insertion takes the next
+    # fresh id, as Timeline.leaf_masks assigns them
+    present = {frozenset((e.u, e.v)): eid for eid, e in g.edges.items()}
+    next_eid = max(g.edges, default=-1) + 1
+    for lineno, parts in update_lines:
+        if len(parts) != (4 if parts[0] == "+" else 3):
+            raise GraphFormatError(f"line {lineno}: expected '+ <u> <v> <w>' or '- <u> <v>'")
+        fields = parse_ints(parts[1:], lineno)
+        u, v = fields[:2]
+        key = frozenset((u, v))
         if parts[0] == "+":
-            tl.updates.append(("+", int(parts[1]), int(parts[2]), int(parts[3])))
+            check_edge(n, *fields, lineno)
+            if key in present:
+                raise GraphFormatError(f"line {lineno}: parallel edge ({u}, {v})")
+            present[key] = next_eid
+            next_eid += 1
+            tl.updates.append(("+", *fields))
         else:
-            u, v = int(parts[1]), int(parts[2])
-            # deletions reference the edge present at that point
-            mask_edges = _present_edges(g, tl.updates)
-            eid = None
-            for cand in sorted(mask_edges):
-                e = mask_edges[cand]
-                if {e[0], e[1]} == {u, v}:
-                    eid = cand
-                    break
-            if eid is None:
-                raise InvalidDelete(f"no edge between {u} and {v} at that step")
-            tl.updates.append(("-", eid))
+            if key not in present:
+                raise InvalidDelete(f"line {lineno}: no edge between {u} and {v} at that step")
+            tl.updates.append(("-", present.pop(key)))
     queries = []
     if queries_path:
+        T = tl.steps
         with open(queries_path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 st = line.strip()
                 if not st or st.startswith("c"):
                     continue
                 parts = st.split()
                 if parts[0] != "q" or len(parts) != 6:
-                    raise GraphFormatError(f"bad query line: {st!r}")
-                queries.append(tuple(int(x) for x in parts[1:]))
+                    raise GraphFormatError(f"line {lineno}: expected 'q <t> <u> <v> <fu> <fv>'")
+                q = tuple(parse_ints(parts[1:], lineno))
+                if not 0 <= q[0] <= T:
+                    raise GraphFormatError(f"line {lineno}: timestep {q[0]} outside [0, {T}]")
+                for x in q[1:]:
+                    if not 0 <= x < n:
+                        raise GraphFormatError(
+                            f"line {lineno}: vertex {x} out of range for the {n}-vertex graph")
+                queries.append(q)
     return tl, queries
-
-
-def _present_edges(g: Graph, updates) -> dict[int, tuple[int, int]]:
-    present = {eid: (e.u, e.v) for eid, e in g.edges.items()}
-    next_eid = max(present, default=-1) + 1
-    for upd in updates:
-        if upd[0] == "+":
-            present[next_eid] = (upd[1], upd[2])
-            next_eid += 1
-        else:
-            del present[upd[1]]
-    return present
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ def cmd_ssrp2(args) -> int:
         out.line({"d1": _edge_pair(g, d1), "d2": _edge_pair(g, d2),
                   "t": t, "dist": _dist_field(dist)})
 
-    ssrp2(g, args.s, sink, seed=args.seed)
+    ssrp2(g, args.s, sink)
     out.close()
     return EXIT_OK
 
@@ -323,7 +324,7 @@ def _verify_one(suite: str, n: int, seed: int):
                 {"suite": suite, "seed": seed, "d1": d1, "d2": d2, "d3": d3},
                 None if want is None else want.base, got)
     elif suite == "ssrp":
-        res = SsrpResolver(g, 0, seed=seed)
+        res = SsrpResolver(g, 0)
         eids = sorted(g.edges)
         import random as _r
         rng = _r.Random(f"verify-ssrp:{seed}")
@@ -634,8 +635,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, Disconnected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, Overflow, SnapshotError, InvalidDelete,
-            TimeOutOfRange) as exc:
+    except (GraphFormatError, Overflow, SnapshotError, InvalidDelete) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:

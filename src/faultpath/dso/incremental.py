@@ -235,31 +235,36 @@ def dispatch_changed(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> O
     ra = 0 if pa <= P else (1 if pa <= X else (2 if pa <= Q else 3))
     rb = 0 if pb <= P else (1 if pb <= X else (2 if pb <= Q else 3))
 
-    def t(segs, key=None):
-        return ctx.gate(segs, u, v, pa, pb, cache_key=key)
+    def t(segs, key=None, best=None):
+        # the shorter of best and the gated walk; a gated form is as long as
+        # its walk and _pf_min keeps best on a tie, so a walk no shorter than
+        # best is not gated
+        if segs is None or (best is not None and _walk_length(segs) >= best.length):
+            return best
+        return _pf_min(best, ctx.gate(segs, u, v, pa, pb, cache_key=key))
 
     old_uv = lambda: t(ctx.old_uv_segs(u, v), key=("uv", u, v))
     q_uv = lambda a, b: t(_pf_as_segs(ctx, ctx.old_query(u, v, a, b), u))
-    q_left = lambda a, b: t(ctx.through_edge_segs(
-        u, v, ex, ey, left=ctx.old_query(u, ex, a, b), right_default=True))
-    q_right = lambda a, b: t(ctx.through_edge_segs(
-        u, v, ex, ey, left_default=True, right=ctx.old_query(ey, v, a, b)))
+    q_left = lambda a, b, best: t(ctx.through_edge_segs(
+        u, v, ex, ey, left=ctx.old_query(u, ex, a, b), right_default=True), best=best)
+    q_right = lambda a, b, best: t(ctx.through_edge_segs(
+        u, v, ex, ey, left_default=True, right=ctx.old_query(ey, v, a, b)), best=best)
 
     if ra == 1 and rb == 2:
         # CASE 1: divergence and convergence bracket R, the edge inside
         return old_uv()
     if ra == 0 and rb == 0:
         # CASE 2: R on the shared prefix before the divergence point
-        return _pf_min(q_uv(a_v, b_v), q_left(a_v, b_v))
+        return q_left(a_v, b_v, q_uv(a_v, b_v))
     if ra == 3 and rb == 3:
         # CASE 2 mirrored: R on the shared suffix after the convergence
-        return _pf_min(q_uv(a_v, b_v), q_right(a_v, b_v))
+        return q_right(a_v, b_v, q_uv(a_v, b_v))
     if ra == 2 and rb == 2:
         # CASE 3: R between the edge and the convergence point
-        return _pf_min(old_uv(), q_right(a_v, b_v))
+        return q_right(a_v, b_v, old_uv())
     if ra == 1 and rb == 1:
         # CASE 3 mirrored: R between the divergence point and the edge
-        return _pf_min(old_uv(), q_left(a_v, b_v))
+        return q_left(a_v, b_v, old_uv())
     if ra == 1 and rb == 3:
         # CASE 4: a inside [p, x], b beyond q
         return q_uv(q_vtx, b_v)
@@ -268,10 +273,10 @@ def dispatch_changed(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> O
         return q_uv(a_v, p_vtx)
     if ra == 2 and rb == 3:
         # CASE 5: a in [y, q], b beyond q
-        return _pf_min(q_uv(q_vtx, b_v), q_right(a_v, b_v))
+        return q_right(a_v, b_v, q_uv(q_vtx, b_v))
     if ra == 0 and rb == 1:
         # CASE 5 mirrored
-        return _pf_min(q_uv(a_v, p_vtx), q_left(a_v, b_v))
+        return q_left(a_v, b_v, q_uv(a_v, p_vtx))
     if ra == 0 and rb == 3:
         # CASE 6: R spans both divergence and convergence
         return q_uv(a_v, b_v)

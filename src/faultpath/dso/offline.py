@@ -1,18 +1,26 @@
-"""Offline fully-dynamic oracle over a known update timeline.
+"""Offline fully-dynamic oracle over a known sequence of graphs.
 
-A binary range tree over timesteps holds, at each node, the intersection of
-all graphs in its interval; the root oracle is built from scratch and every
+A binary range tree over the leaves holds, at each node, the intersection of
+all leaf graphs in its interval; the root oracle is a static build and every
 child derives from its parent by edge insertions only.  Leaves answer the
-per-timestep queries.  Traversal is depth-first with one working clone per
-level, so at most a root-to-leaf chain of oracles is ever alive in batched
-mode.
+per-leaf queries.  Traversal is depth-first with one working clone per level,
+so at most a root-to-leaf chain of oracles is ever alive in batched mode.
+
+The one range-tree routine, ``build_timeline``, takes the leaves as edge-id
+masks over one table of edge specs, and two schedules produce them:
+
+- a ``Timeline`` (``dso offline``): one leaf per timestep 0..T of an update
+  list, where an insertion gets a fresh edge id and a fresh tie value;
+- a ``DeletionSweep`` (the ssrp2 and frp3 solvers): leaf k is the graph
+  minus its k-th listed edge, with every other edge's own id and tie, so
+  node [lo, hi] holds the graph minus edges lo..hi and no tie is drawn.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..graph import Graph, TieSource
+from ..graph import Edge, Graph, TieSource
 from ..weights import CompositeWeight as W
 from .incremental import insert_edge
 from .static import IncrementalDso
@@ -41,12 +49,56 @@ class Timeline:
     def steps(self) -> int:
         return len(self.updates)
 
+    def leaf_masks(self, seed: int):
+        """Edges by id and one mask per timestep; insertions draw their ties
+        from the seed."""
+        ties = TieSource(seed + 4242)
+        edge_specs = dict(self.graph0.edges)
+        next_eid = max(edge_specs, default=-1) + 1
+        mask = sum(1 << eid for eid in edge_specs)
+        masks = [mask]
+        for t, upd in enumerate(self.updates):
+            if upd[0] == "+":
+                _, u, v, w_base = upd
+                eid = next_eid
+                next_eid += 1
+                edge_specs[eid] = Edge(u, v, W(w_base, ties.next()), eid)
+                mask |= 1 << eid
+            elif upd[0] == "-":
+                _, eid = upd
+                if not (mask >> eid) & 1:
+                    raise InvalidDelete(f"step {t}: edge {eid} not present")
+                mask &= ~(1 << eid)
+            else:
+                raise ValueError(f"unknown update {upd!r}")
+            masks.append(mask)
+        return edge_specs, masks
+
+
+@dataclass
+class DeletionSweep:
+    """Leaf k is ``graph0`` minus ``eids[k]``; every other edge keeps its id
+    and tie."""
+
+    graph0: Graph
+    eids: list
+
+    def leaf_masks(self, seed: int = 0):
+        """Edges by id and one mask per listed edge; ``seed`` is unused, since
+        a sweep draws no ties."""
+        edges = self.graph0.edges
+        full = sum(1 << eid for eid in edges)
+        for eid in self.eids:
+            if eid not in edges:
+                raise InvalidDelete(f"edge {eid} not present")
+        return edges, [full & ~(1 << eid) for eid in self.eids]
+
 
 class OfflineDso:
-    """Per-timestep oracles produced by the range-tree build."""
+    """Per-leaf oracles produced by the range-tree build."""
 
-    def __init__(self, timeline: Timeline, edge_specs, masks, leaves,
-                 peak_live: int, node_stats):
+    def __init__(self, timeline: Timeline | DeletionSweep, edge_specs, masks,
+                 leaves, peak_live: int, node_stats):
         self.timeline = timeline
         self.edge_specs = edge_specs
         self.masks = masks
@@ -62,7 +114,7 @@ class OfflineDso:
         return _graph_for_mask(self.timeline.graph0.n, self.edge_specs, self.masks[t])
 
     def query_at(self, t: int, u: int, v: int, eid: int, want_path: bool = False):
-        """Distance u -> v at timestep t avoiding edge ``eid``."""
+        """Distance u -> v at leaf t avoiding edge ``eid``."""
         if not (0 <= t < len(self.masks)):
             raise TimeOutOfRange(f"t={t} outside [0, {len(self.masks) - 1}]")
         if self.leaves is None or self.leaves[t] is None:
@@ -74,48 +126,25 @@ def _graph_for_mask(n: int, edge_specs, mask: int) -> Graph:
     g = Graph(n)
     for eid in sorted(edge_specs):
         if (mask >> eid) & 1:
-            u, v, w = edge_specs[eid]
-            g.add_edge(u, v, w, eid=eid)
+            e = edge_specs[eid]
+            g.add_edge(e.u, e.v, e.w, eid=eid)
     return g
 
 
-def build_timeline(timeline: Timeline, seed: int = 0,
+def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0,
                    on_leaf: Optional[Callable[[int, IncrementalDso], None]] = None,
                    keep_leaves: Optional[bool] = None) -> OfflineDso:
-    """Materialise the range tree and visit every timestep's oracle.
+    """Materialise the range tree over the leaves of ``timeline`` and visit
+    every leaf's oracle.
 
-    ``on_leaf(t, dso)`` is called per timestep in order (batched mode); when
-    ``keep_leaves`` the per-step oracles are retained for ``query_at``.  By
+    ``on_leaf(t, dso)`` is called per leaf in order (batched mode); when
+    ``keep_leaves`` the per-leaf oracles are retained for ``query_at``.  By
     default leaves are kept only when no callback is given.
     """
     if keep_leaves is None:
         keep_leaves = on_leaf is None
     g0 = timeline.graph0
-    ties = TieSource(seed + 4242)
-
-    edge_specs: dict[int, tuple[int, int, W]] = {
-        eid: (e.u, e.v, e.w) for eid, e in g0.edges.items()
-    }
-    next_eid = max(edge_specs, default=-1) + 1
-    mask = 0
-    for eid in edge_specs:
-        mask |= 1 << eid
-    masks = [mask]
-    for t, upd in enumerate(timeline.updates):
-        if upd[0] == "+":
-            _, u, v, w_base = upd
-            eid = next_eid
-            next_eid += 1
-            edge_specs[eid] = (u, v, W(w_base, ties.next()))
-            mask |= 1 << eid
-        elif upd[0] == "-":
-            _, eid = upd
-            if not (mask >> eid) & 1:
-                raise InvalidDelete(f"step {t}: edge {eid} not present")
-            mask &= ~(1 << eid)
-        else:
-            raise ValueError(f"unknown update {upd!r}")
-        masks.append(mask)
+    edge_specs, masks = timeline.leaf_masks(seed)
 
     T = len(masks) - 1
     leaves: Optional[list] = [None] * (T + 1) if keep_leaves else None
@@ -138,8 +167,8 @@ def build_timeline(timeline: Timeline, seed: int = 0,
         eid = 0
         while added:
             if added & 1:
-                u, v, w = edge_specs[eid]
-                insert_edge(dso, u, v, w.base, tie=w.tie, eid=eid)
+                e = edge_specs[eid]
+                insert_edge(dso, e.u, e.v, e.w.base, tie=e.w.tie, eid=eid)
                 count += 1
             added >>= 1
             eid += 1
@@ -176,37 +205,3 @@ def _clone(dso: IncrementalDso) -> IncrementalDso:
     # forest and the table, reusing unchanged trees and sub-tables as they are
     return IncrementalDso(dso.graph, dso.forest, dso.table, dso.ties)
 
-
-class CycleTimeline:
-    """Delete-then-restore schedule over a list of edges.
-
-    Each listed edge is removed for exactly one timestep; restoring assigns a
-    fresh id, so ``current_id`` translates an original edge id to the id it
-    carries at a given leaf.
-    """
-
-    def __init__(self, graph: Graph, eids: list[int]):
-        self.eids = list(eids)
-        self.index = {eid: k for k, eid in enumerate(self.eids)}
-        self.base_next = max(graph.edges) + 1 if graph.edges else 0
-        self.timeline = Timeline(graph)
-        for eid in self.eids:
-            e = graph.edges[eid]
-            self.timeline.updates.append(("-", eid))
-            self.timeline.updates.append(("+", e.u, e.v, e.w.base))
-
-    def leaf_step(self, k: int) -> int:
-        return 2 * k + 1
-
-    def deleted_at(self, t: int) -> Optional[int]:
-        """Original id of the edge missing at odd timestep t."""
-        if t <= 0 or t % 2 == 0:
-            return None
-        return self.eids[(t - 1) // 2]
-
-    def current_id(self, eid: int, k: int) -> int:
-        """Id of ``eid`` at the leaf where the k-th listed edge is deleted."""
-        j = self.index.get(eid)
-        if j is not None and j < k:
-            return self.base_next + j
-        return eid

@@ -6,9 +6,9 @@ two-failure replacement path.  Triples split by how many failures lie on the
 original path:
 
 - one: a query between the failure's terminals in the auxiliary graph with
-  the second failure deleted (offline timeline) and the third avoided;
+  the second failure deleted (offline deletion sweep) and the third avoided;
 - two: the four-candidate minimum over the partition level separating them,
-  each candidate one query against a level graph's offline timeline;
+  each candidate one query against a level graph's offline deletion sweep;
 - three: interval-oracle candidates plus the probe-loop snake answers.
 
 All answers are exact base-channel lengths; None means unreachable.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..dso.offline import CycleTimeline, build_timeline
+from ..dso.offline import DeletionSweep, build_timeline
 from ..dso.static import IncrementalDso
 from ..frp2 import Frp2Solver, OffPathMatrix, build_H, _aux_ties_ok
 from ..graph import Graph
@@ -156,22 +156,17 @@ class Frp3Solver:
         if not batches:
             return
         aux = self.aux
-        cyc = CycleTimeline(aux.graph, sorted(batches))
+        deleted = sorted(batches)
 
-        def on_leaf(t: int, dso: IncrementalDso) -> None:
-            c = cyc.deleted_at(t)
-            if c is None:
-                return
-            k = cyc.index[c]
-            for d1_pos, d3, key in batches[c]:
+        def on_leaf(k: int, dso: IncrementalDso) -> None:
+            for d1_pos, d3, key in batches[deleted[k]]:
                 if key in answers:
                     continue
                 ln, _ = dso.query_edge_failure(
-                    aux.term_minus[d1_pos], aux.term_plus[d1_pos],
-                    cyc.current_id(d3, k))
+                    aux.term_minus[d1_pos], aux.term_plus[d1_pos], d3)
                 answers[key] = aux.two_term_value(ln)
 
-        build_timeline(cyc.timeline, seed=self.seed, on_leaf=on_leaf,
+        build_timeline(DeletionSweep(aux.graph, deleted), on_leaf=on_leaf,
                        keep_leaves=False)
 
     # -- pass 2: two failures on the path ------------------------------------
@@ -193,17 +188,11 @@ class Frp3Solver:
             level_batch.setdefault((i, 1), {}).setdefault(re, []).append(key)
 
         for (i, parity), by_del in sorted(level_batch.items()):
-            g_level = self.levels[(i, parity)]
             del_positions = sorted(by_del)
-            cyc = CycleTimeline(g_level, [P.path_eids[p] for p in del_positions])
 
-            def on_leaf(t: int, dso: IncrementalDso, parity=parity, cyc=cyc,
+            def on_leaf(k: int, dso: IncrementalDso, parity=parity,
                         del_positions=del_positions, by_del=by_del) -> None:
-                eid_deleted = cyc.deleted_at(t)
-                if eid_deleted is None:
-                    return
-                pos = del_positions[(t - 1) // 2]
-                for key in by_del[pos]:
+                for key in by_del[del_positions[k]]:
                     _, le, re, f = key
                     rec = parts[key]
                     m_vtx = P.path_verts[rec["m"]]
@@ -217,8 +206,9 @@ class Frp3Solver:
                     rec[tag + "_sm"] = aux.one_term_value(sm)
                     rec[tag + "_mt"] = aux.one_term_value(mt)
 
-            build_timeline(cyc.timeline, seed=self.seed + 31 * i + parity,
-                           on_leaf=on_leaf, keep_leaves=False)
+            sweep = DeletionSweep(self.levels[(i, parity)],
+                                  [P.path_eids[p] for p in del_positions])
+            build_timeline(sweep, on_leaf=on_leaf, keep_leaves=False)
 
         for key in keys:
             rec = parts[key]

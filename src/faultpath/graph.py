@@ -175,19 +175,14 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int, int]]]:
                 raise GraphFormatError(f"line {lineno}: repeated header")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
-            n, declared_m = _ints(parts[1:], lineno)
+            n, declared_m = parse_ints(parts[1:], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")
             if len(parts) != 4:
                 raise GraphFormatError(f"line {lineno}: expected 'e <u> <v> <w>'")
-            u, v, w = _ints(parts[1:], lineno)
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"line {lineno}: vertex out of range")
-            if w < 0:
-                raise GraphFormatError(f"line {lineno}: negative weight")
+            u, v, w = parse_ints(parts[1:], lineno)
+            check_edge(n, u, v, w, lineno)
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise GraphFormatError(f"line {lineno}: parallel edge ({u}, {v})")
@@ -202,7 +197,17 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     return n, edges
 
 
-def _ints(fields: list[str], lineno: int) -> list[int]:
+def check_edge(n: int, u: int, v: int, w: int, lineno: int) -> None:
+    """Reject a self-loop, an endpoint out of range or a negative weight."""
+    if u == v:
+        raise GraphFormatError(f"line {lineno}: self-loop at {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphFormatError(f"line {lineno}: vertex out of range")
+    if w < 0:
+        raise GraphFormatError(f"line {lineno}: negative weight")
+
+
+def parse_ints(fields: list[str], lineno: int) -> list[int]:
     try:
         return [int(x) for x in fields]
     except ValueError:

@@ -67,6 +67,18 @@ def path_avoiding(graph: Graph, u: int, v: int, fails: Iterable[int]) -> Optiona
     return out
 
 
+def required_ssrp2(graph: Graph, source: int) -> set[tuple[int, int, int]]:
+    """Every unordered (d1, d2, t) that two-failure SSRP must answer: d1 on
+    the shortest path to t (t in d1's subtree), d2 on the shortest path to
+    t avoiding d1."""
+    out = set()
+    for t in range(graph.n):
+        for d1 in path_avoiding(graph, source, t, ()) or ():
+            for d2 in path_avoiding(graph, source, t, (d1,)) or ():
+                out.add((min(d1, d2), max(d1, d2), t))
+    return out
+
+
 def all_dists_avoiding(graph: Graph, source: int, fails: Iterable[int]) -> list[Optional[W]]:
     """Distances from ``source`` to every vertex with ``fails`` removed."""
     blocked = 0

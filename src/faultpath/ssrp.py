@@ -1,17 +1,17 @@
 """Two-failure single-source replacement paths.
 
 Walk the source's shortest path tree, delete each tree edge in turn on an
-offline timeline, and at every step answer one more failure for the vertices
-in the deleted edge's subtree.  Failure pairs not covered by the stream
-resolve to single-failure or unaffected answers; ``resolve`` implements that
-bookkeeping for arbitrary pairs.
+offline deletion sweep, and at every leaf answer one more failure for the
+vertices in the deleted edge's subtree.  Failure pairs not covered by the
+stream resolve to single-failure or unaffected answers; ``SsrpResolver``
+implements that bookkeeping for arbitrary pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dso.offline import CycleTimeline, build_timeline
+from .dso.offline import DeletionSweep, build_timeline
 from .dso.static import IncrementalDso
 from .graph import Graph
 from .spt import dijkstra
@@ -22,12 +22,11 @@ Sink = Callable[[int, int, int, Optional[int]], None]
 
 @dataclass
 class SsrpStats:
-    timeline_steps: int = 0
+    timeline_steps: int = 0    # leaves of the sweep: one per tree edge
     emitted: int = 0
-    per_step_queries: list = field(default_factory=list)
 
 
-def ssrp2(graph: Graph, s: int, sink: Sink, seed: int = 0) -> SsrpStats:
+def ssrp2(graph: Graph, s: int, sink: Sink) -> SsrpStats:
     """Emit (d1, d2, t, distance) for every required triple from source s.
 
     Required triples have d1 on the tree, t in d1's subtree, and d2 on the
@@ -46,50 +45,41 @@ def ssrp2(graph: Graph, s: int, sink: Sink, seed: int = 0) -> SsrpStats:
         e = graph.edges[eid]
         lower_of[eid] = e.v if spt.parent[e.v] == e.u else e.u
 
-    stats = SsrpStats()
-    cyc = CycleTimeline(graph, tree_edges)
-    stats.timeline_steps = len(cyc.timeline.updates)
+    stats = SsrpStats(timeline_steps=len(tree_edges))
+    if not tree_edges:
+        return stats
     seen: set[tuple[int, int, int]] = set()
 
-    def on_leaf(step: int, dso: IncrementalDso) -> None:
-        d1 = cyc.deleted_at(step)
-        if d1 is None:
-            return
-        k = cyc.index[d1]
+    def on_leaf(k: int, dso: IncrementalDso) -> None:
+        d1 = tree_edges[k]
         root = lower_of[d1]
-        queries = 0
         f = dso.forest
         for t in range(graph.n):
             if t != s and spt.dist[t] is not None and spt.on_root_path(t, root):
                 if f.dist(s, t) is None:
                     continue
-                for d2_cur in f.path_edge_ids(s, t):
-                    # report under original ids; restored copies map back
-                    d2 = cyc.eids[d2_cur - cyc.base_next] \
-                        if d2_cur >= cyc.base_next else d2_cur
+                for d2 in f.path_edge_ids(s, t):
                     key = (min(d1, d2), max(d1, d2), t)
                     if key in seen:
                         continue
                     seen.add(key)
-                    ln, _ = dso.query_edge_failure(s, t, d2_cur)
+                    ln, _ = dso.query_edge_failure(s, t, d2)
                     sink(d1, d2, t, None if ln is None else ln.base)
                     stats.emitted += 1
-                    queries += 1
-        stats.per_step_queries.append(queries)
 
-    build_timeline(cyc.timeline, seed=seed, on_leaf=on_leaf, keep_leaves=False)
+    build_timeline(DeletionSweep(graph, tree_edges), on_leaf=on_leaf, keep_leaves=False)
     return stats
 
 
 class SsrpResolver:
     """Answer any (d1, d2, t) from the streamed triples plus 1-fault data."""
 
-    def __init__(self, graph: Graph, s: int, seed: int = 0):
+    def __init__(self, graph: Graph, s: int):
         self.graph = graph
         self.s = s
         self.spt = dijkstra(graph, s, with_lca=True)
         self.table: dict[tuple[int, int, int], Optional[int]] = {}
-        self.stats = ssrp2(graph, s, self._store, seed=seed)
+        self.stats = ssrp2(graph, s, self._store)
         self._one_fault: dict[int, list] = {}
 
     def _store(self, d1: int, d2: int, t: int, length: Optional[int]) -> None:

@@ -200,8 +200,13 @@ MALFORMED_FILES = {
     "tri": "p 3 2\ne 0 1 3\ne 1 2 4\n",
     "frac": "p 3 2\ne 0 1 1.5\ne 1 2 4\n",
     "huge": "p 2 1\ne 0 1 9999999999999999999999\n",
+    "tri_plus": "p 3 2\ne 0 1 3\ne 1 2 4\n+ 0 1 5\n",
 }
 QUERY = ["dso", "query", "--u", "0", "--fu", "0", "--fv", "1"]
+OFFLINE = ["dso", "offline", "--timeline"]
+# the tri graph as a timeline has no updates, so only t = 0 exists
+QUERY_FILES = {"q_vertex": "q 0 0 9 0 1\n", "q_step": "q 5 0 2 0 1\n",
+               "q_ok": "q 0 0 2 0 1\n"}
 
 
 @pytest.mark.parametrize("code,args", [
@@ -219,12 +224,21 @@ QUERY = ["dso", "query", "--u", "0", "--fu", "0", "--fv", "1"]
                  id="overflowing-weight"),
     pytest.param(3, [*QUERY, "--snapshot", "{trunc}", "--v", "2"], id="truncated-snapshot"),
     pytest.param(2, [*QUERY, "--snapshot", "{snap}", "--v", "99"], id="query-v-out-of-range"),
+    pytest.param(3, [*OFFLINE, "{tri}", "--queries", "{q_vertex}"],
+                 id="offline-query-vertex-out-of-range"),
+    pytest.param(3, [*OFFLINE, "{tri}", "--queries", "{q_step}"],
+                 id="offline-query-t-out-of-range"),
+    pytest.param(3, [*OFFLINE, "{tri_plus}", "--queries", "{q_ok}"],
+                 id="offline-update-parallel-edge"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     paths = {}
     for name, text in MALFORMED_FILES.items():
         paths[name] = str(tmp_path / f"{name}.graph")
         (tmp_path / f"{name}.graph").write_text(text)
+    for name, text in QUERY_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
     snap = tmp_path / "tri.dso"
     assert main(["dso", "build", "--graph", paths["tri"], "--out", str(snap)]) == 0
     trunc = tmp_path / "trunc.dso"

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from faultpath.dso.offline import (
-    InvalidDelete, TimeOutOfRange, Timeline, build_timeline,
+    DeletionSweep, InvalidDelete, TimeOutOfRange, Timeline, build_timeline,
 )
 from faultpath.dso.static import IncrementalDso
-from faultpath.families import random_connected
+from faultpath.families import detour_rich, random_connected
+from faultpath.graph import Graph
 from faultpath.reference import dist_avoiding
+from faultpath.spt import dijkstra
 
 
 def random_timeline(g, steps, seed):
@@ -162,6 +164,46 @@ def test_errors():
     g = random_connected(8, seed=1)
     with pytest.raises(InvalidDelete):
         build_timeline(Timeline(g, [("-", max(g.edges) + 5)]))
+    with pytest.raises(InvalidDelete):
+        build_timeline(DeletionSweep(g, [max(g.edges) + 1]))
     off = build_timeline(Timeline(g))
     with pytest.raises(TimeOutOfRange):
         off.query_at(3, 0, 1, 0)
+
+
+def edge_failure_answers(dso):
+    """Every single-failure query of every pair, with its path's edge ids."""
+    f = dso.forest
+    return {(u, v, eid): dso.query_edge_failure(u, v, eid, want_path=True)
+            for u in range(f.graph.n) for v in range(u + 1, f.graph.n)
+            if f.dist(u, v) is not None for eid in f.path_edge_ids(u, v)}
+
+
+@pytest.mark.parametrize("graph,source", [(detour_rich(12, 0), 0),
+                                          (random_connected(20, 0), 3)],
+                         ids=["detour12", "random20"])
+def test_deletion_sweep_leaf_is_the_graph_minus_one_edge(graph, source):
+    spt = dijkstra(graph, source)
+    eids = sorted(spt.parent_edge[v] for v in range(graph.n)
+                  if v != source and spt.dist[v] is not None)
+    visited = []
+
+    def on_leaf(k, dso):
+        # the input's own ids and ties, minus the k-th swept edge
+        g_minus = Graph(graph.n)
+        for eid, e in sorted(graph.edges.items()):
+            if eid != eids[k]:
+                g_minus.add_edge(e.u, e.v, e.w, eid=eid)
+        assert dso.graph.edges == g_minus.edges
+        ref = IncrementalDso.build(g_minus)
+        assert [(t.dist, t.parent_edge) for t in dso.forest.spts] == \
+            [(t.dist, t.parent_edge) for t in ref.forest.spts]
+        # a grown table may hold other interval entries than a fresh build,
+        # so compare what a caller observes: the trees, and every
+        # edge-failure answer with its path
+        assert edge_failure_answers(dso) == edge_failure_answers(ref)
+        visited.append(k)
+
+    off = build_timeline(DeletionSweep(graph, eids), on_leaf=on_leaf)
+    assert visited == list(range(len(eids)))
+    assert off.peak_live <= math.ceil(math.log2(len(eids))) + 1

@@ -1,8 +1,10 @@
 import itertools
 import random
 
-from faultpath.families import random_connected
-from faultpath.reference import all_dists_avoiding
+import pytest
+
+from faultpath.families import detour_rich, random_connected
+from faultpath.reference import all_dists_avoiding, required_ssrp2
 from faultpath.spt import dijkstra
 from faultpath.ssrp import SsrpResolver, ssrp2
 
@@ -42,10 +44,21 @@ def test_stream_shape_and_dedup():
     stats = ssrp2(g, s, lambda *a: emitted.append(a))
     spt = dijkstra(g, s)
     n_tree = sum(1 for v in range(g.n) if v != s and spt.dist[v] is not None)
-    assert stats.timeline_steps == 2 * n_tree
+    assert stats.timeline_steps == n_tree
     keys = [(min(d1, d2), max(d1, d2), t) for d1, d2, t, _ in emitted]
     assert len(keys) == len(set(keys))
     assert stats.emitted == len(emitted)
+
+
+@pytest.mark.parametrize("graph", [random_connected(28, 0), detour_rich(16, 0),
+                                   random_connected(20, 0)],
+                         ids=["random28", "detour16", "random20"])
+def test_emitted_set_is_the_required_set(graph):
+    # the first two graphs have base-length ties among replacement paths
+    emitted = []
+    ssrp2(graph, 0, lambda d1, d2, t, _: emitted.append((min(d1, d2), max(d1, d2), t)))
+    assert len(emitted) == len(set(emitted))
+    assert set(emitted) == required_ssrp2(graph, 0)
 
 
 def test_off_tree_failure_is_one_fault_value():
