@@ -139,19 +139,22 @@ def cmd_dso(args) -> int:
     # offline
     tl, queries = _load_timeline(args.timeline, args.queries, args.seed)
     by_step: dict[int, list] = {}
-    for q in queries:
-        by_step.setdefault(q[0], []).append(q)
+    for lineno, q in queries:
+        by_step.setdefault(q[0], []).append((lineno, q))
     answers = {}
 
     def on_leaf(t, dso):
-        for (qt, u, v, fu, fv) in by_step.get(t, ()):
-            eid = _resolve_edge(dso.graph, fu, fv)
+        for lineno, (qt, u, v, fu, fv) in by_step.get(t, ()):
+            try:
+                eid = _resolve_edge(dso.graph, fu, fv)
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc} at timestep {t}") from None
             ln, _ = dso.query_edge_failure(u, v, eid)
             answers[(qt, u, v, fu, fv)] = None if ln is None else ln.base
 
     build_timeline(tl, seed=args.seed, on_leaf=on_leaf, keep_leaves=False)
     out = _Out(args.out)
-    for (qt, u, v, fu, fv) in queries:
+    for _, (qt, u, v, fu, fv) in queries:
         out.line({"t": qt, "u": u, "v": v, "f": [fu, fv],
                   "dist": _dist_field(answers[(qt, u, v, fu, fv)])})
     out.close()
@@ -159,10 +162,10 @@ def cmd_dso(args) -> int:
 
 
 def _resolve_edge(graph: Graph, u: int, v: int) -> int:
-    for eid in sorted(graph.edges):
-        e = graph.edges[eid]
-        if {e.u, e.v} == {u, v}:
-            return eid
+    if 0 <= u < graph.n:
+        for x, eid, _, _ in graph.adj[u]:
+            if x == v:
+                return eid
     raise GraphFormatError(f"no edge between {u} and {v}")
 
 
@@ -219,7 +222,7 @@ def _load_timeline(path: str, queries_path: Optional[str], seed: int):
                     if not 0 <= x < n:
                         raise GraphFormatError(
                             f"line {lineno}: vertex {x} out of range for the {n}-vertex graph")
-                queries.append(q)
+                queries.append((lineno, q))
     return tl, queries
 
 

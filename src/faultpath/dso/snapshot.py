@@ -3,9 +3,12 @@
 Layout (little endian): magic, format version, vertex count, a reserved
 int32 (written as 0, ignored on load), edge count, graph section (edge ids
 kept sparse), then the interval table.  Trees and LCA structures are
-rebuilt on load, and every stored entry's length is re-derived and checked
-against the dump.  The format is documented here and versioned; stability
-across package versions is not guaranteed.
+rebuilt on load.  Every pair must be connected with u < v < n, every entry
+key must be one of the pair's anchors, every entry's vertices must lie in
+range and its bridge must be an edge of the loaded graph joining them; the
+entry's length is then re-derived and checked against the dump.  The
+format is documented here and versioned; stability across package versions
+is not guaranteed.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from ..graph import Graph, TieSource
 from ..pathform import ProperForm
 from ..spt import SptForest
 from ..weights import CompositeWeight as W
-from .static import IncrementalDso
+from .static import IncrementalDso, anchors
 
 MAGIC = b"FPDSO"
 FORMAT = 2
@@ -73,20 +76,33 @@ def _parse(data: bytes, seed: int) -> IncrementalDso:
     for _ in range(npairs):
         u, v, cnt = struct.unpack_from("<III", data, off)
         off += 12
+        if not u < v < n or forest.dist(u, v) is None:
+            raise SnapshotError(f"invalid pair ({u}, {v})")
+        keys = set(anchors(forest.hops(u, v)))
         sub = {}
         for _ in range(cnt):
             i, j, kind = struct.unpack_from("<IIB", data, off)
             off += 9
+            if (i, j) not in keys:
+                raise SnapshotError(f"offsets ({i}, {j}) are no anchor of pair ({u}, {v})")
             if kind == 0:
                 sub[(i, j)] = None
                 continue
             x, bridge, y, lb, lt = struct.unpack_from("<IIIqq", data, off)
             off += struct.calcsize("<IIIqq")
             b = None if bridge == 0xFFFFFFFF else bridge
-            length = forest.dist(u, x)
-            if b is not None:
-                length = length + g.edges[b].w
-            length = length + forest.dist(y, v)
+            if not (x < n and y < n):
+                raise SnapshotError(f"entry vertex out of range for pair ({u}, {v})")
+            if b is None:
+                joined = x == y
+            else:
+                e = g.edges.get(b)
+                joined = e is not None and {e.u, e.v} == {x, y}
+            prefix, suffix = forest.dist(u, x), forest.dist(y, v)
+            if not joined or prefix is None or suffix is None:
+                raise SnapshotError(f"corrupt entry for pair ({u}, {v})")
+            length = prefix if b is None else prefix + g.edges[b].w
+            length = length + suffix
             if (length.base, length.tie) != (lb, lt):
                 raise SnapshotError(f"corrupt entry for pair ({u}, {v})")
             sub[(i, j)] = ProperForm(u, x, b, y, v, length)

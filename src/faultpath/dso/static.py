@@ -7,6 +7,11 @@ whole interval to be avoided (the interval is then "weak"); otherwise it is
 any proper-form detour that clears the interval, or null.  Arbitrary
 intervals are answered by combining four anchored lookups; single edges are
 always weak, which yields the classic edge-failure query.
+
+The build reads every pair's single-failure detours off the trees of its
+source u in G - e, one per edge e of u's tree that some pair needs.  Each
+such tree comes from ``spt.without_tree_edge``: only the subtree below e is
+searched again, and every other vertex keeps its path from u's tree.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from ..pathform import (
     ProperForm, explicit_path, pf_intersects_interval, pf_path, pf_segments,
     seg_down, seg_up, to_proper_form, transform_avoiding,
 )
-from ..spt import SptForest, dijkstra
+from ..spt import SptForest, without_tree_edge
 from ..weights import CompositeWeight as W
 
 
@@ -54,14 +59,17 @@ def replacement_paths_for_pair(forest: SptForest, u: int, v: int, trees: dict):
     """Exact detour length and path for each single edge of pi(u, v).
 
     ``trees`` maps an edge id to the tree of u in G minus that edge; it is
-    filled on demand, so the pairs of one source share their G - e runs.
+    filled on demand, so the pairs of one source share their G - e trees.
+    Each is made by ``without_tree_edge`` from u's tree in ``forest``, which
+    reruns Dijkstra only on the subtree that e cuts off.
     """
     graph = forest.graph
+    spt_u = forest.spts[u]
     out = []
     for eid in forest.path_edge_ids(u, v):
         tree = trees.get(eid)
         if tree is None:
-            tree = trees[eid] = dijkstra(graph, u, blocked=1 << eid)
+            tree = trees[eid] = without_tree_edge(graph, spt_u, eid)
         if tree.dist[v] is None:
             out.append((None, None))
         else:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from .dso.static import IncrementalDso
 from .graph import Disconnected, Graph, TIE_RANGE
-from .spt import SptForest, dijkstra, tie_free
+from .spt import dijkstra, tie_free, without_tree_edge
 from .weights import CompositeWeight as W
 
 
@@ -34,22 +34,18 @@ class Frp1Result:
         return len(self.path_eids)
 
 
-def frp1_all(graph: Graph, s: int, t: int, forest: Optional[SptForest] = None) -> Frp1Result:
-    """Delete each edge of pi(s, t) in turn and re-run the shortest path."""
-    if forest is None:
-        spt = dijkstra(graph, s)
-        if spt.dist[t] is None:
-            raise Disconnected(f"{s} and {t} are disconnected")
-        pv = spt.path_vertices(t)
-        pe = spt.path_edges(t)
-    else:
-        pv = forest.path_vertices(s, t)
-        pe = forest.path_edge_ids(s, t)
+def frp1_all(graph: Graph, s: int, t: int) -> Frp1Result:
+    """Delete each edge of pi(s, t) in turn and search again below it."""
+    spt = dijkstra(graph, s)
+    if spt.dist[t] is None:
+        raise Disconnected(f"{s} and {t} are disconnected")
+    pv = spt.path_vertices(t)
+    pe = spt.path_edges(t)
     lengths: list[Optional[W]] = []
     paths: list[Optional[list[int]]] = []
     union: set[int] = set()
     for eid in pe:
-        tree = dijkstra(graph, s, blocked=1 << eid)
+        tree = without_tree_edge(graph, spt, eid)
         if tree.dist[t] is None:
             lengths.append(None)
             paths.append(None)

@@ -4,6 +4,12 @@ Every tree is rooted at its Dijkstra source and covers exactly the reachable
 component.  LCA uses an Euler tour plus sparse table (O(1) query); level
 ancestors use binary lifting (O(log n) query).  Both are optional because
 plain distance runs do not need them.
+
+``without_tree_edge`` gives the tree of the same source in G - e for one
+edge e.  Removing a tree edge can only change the vertices below it, so it
+copies the tree and reruns Dijkstra on that subtree alone, seeded from the
+unchanged vertices around it (the single-failure idea of Malik, Mittal and
+Gupta, 1989).  Under verified unique ties the result equals a full run.
 """
 from __future__ import annotations
 
@@ -12,6 +18,18 @@ from typing import Optional
 
 from .graph import Graph
 from .weights import CompositeWeight as W
+
+
+def _children_of(parent: list[int]) -> list[tuple[int, ...]]:
+    """Tree children of every vertex in increasing id order.
+
+    Tuples, so that the many leaves share the one empty tuple.
+    """
+    children: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(v)
+    return [tuple(c) for c in children]
 
 
 class ShortestPathTree:
@@ -24,7 +42,7 @@ class ShortestPathTree:
 
     __slots__ = (
         "source", "dist", "parent", "parent_edge", "depth",
-        "_euler", "_first", "_edepth", "_sparse", "_log", "_lift",
+        "_children", "_euler", "_first", "_edepth", "_sparse", "_log", "_lift",
     )
 
     def __init__(self, source: int, dist, parent, parent_edge, depth):
@@ -33,6 +51,7 @@ class ShortestPathTree:
         self.parent: list[int] = parent
         self.parent_edge: list[Optional[int]] = parent_edge
         self.depth: list[int] = depth
+        self._children = None
         self._euler = None
         self._first = None
         self._edepth = None
@@ -63,20 +82,19 @@ class ShortestPathTree:
         out.reverse()
         return out
 
+    def children(self) -> list[tuple[int, ...]]:
+        """``_children_of`` this tree, built on first use and kept."""
+        if self._children is None:
+            self._children = _children_of(self.parent)
+        return self._children
+
     # -- LCA / level ancestor -------------------------------------------
 
     def build_lca(self) -> None:
         if self._euler is not None:
             return
         n = len(self.dist)
-        children: list[list[int]] = [[] for _ in range(n)]
-        order = sorted(
-            (v for v in range(n) if self.dist[v] is not None),
-            key=lambda v: self.depth[v],
-        )
-        for v in order:
-            if v != self.source:
-                children[self.parent[v]].append(v)
+        children = _children_of(self.parent)
 
         euler: list[int] = []
         edepth: list[int] = []
@@ -113,7 +131,7 @@ class ShortestPathTree:
         self._sparse, self._log = sparse, log
 
         # binary lifting for level ancestors; roots lift to themselves
-        maxk = max(1, max((self.depth[v] for v in order), default=0).bit_length())
+        maxk = max(1, max(edepth).bit_length())
         base = [self.parent[v] if self.parent[v] >= 0 else v for v in range(n)]
         lift = [base]
         for k in range(1, maxk):
@@ -190,6 +208,81 @@ def dijkstra(graph: Graph, source: int, blocked: int = 0, with_lca: bool = False
     if with_lca:
         tree.build_lca()
     return tree
+
+
+def without_tree_edge(graph: Graph, tree: ShortestPathTree, eid: int) -> ShortestPathTree:
+    """The tree of ``tree.source`` in G minus edge ``eid``.
+
+    Equal, under unique ties, to a full ``dijkstra`` from the source with
+    ``eid`` blocked, and ``tree`` itself when ``eid`` is not one of its
+    edges.  Only the subtree S below ``eid`` is searched: every vertex
+    outside S keeps its path, each vertex of S is seeded with its best edge
+    from outside S, and Dijkstra then runs inside S with the same keys and
+    the same strict relaxation as a full run.  Vertices of S that G - e
+    cuts off end unreachable.
+    """
+    e = graph.edges.get(eid)
+    if e is None:
+        return tree
+    parent_edge = tree.parent_edge
+    if parent_edge[e.v] == eid:
+        low = e.v
+    elif parent_edge[e.u] == eid:
+        low = e.u
+    else:
+        return tree
+    children = tree.children()
+    sub = [low]
+    for z in sub:
+        sub.extend(children[z])
+
+    dist = list(tree.dist)
+    parent = list(tree.parent)
+    parent_edge = list(parent_edge)
+    depth = list(tree.depth)
+    adj = graph.adj
+    heap: list[tuple[int, int, int]] = []
+    best: dict[int, tuple[int, int]] = {}
+    # clear S first: afterwards a None distance next to S marks a vertex of
+    # S, since every neighbour of S was reachable in G
+    for z in sub:
+        dist[z] = None
+        parent[z] = -1
+        parent_edge[z] = None
+        depth[z] = 0
+    for z in sub:
+        cur = None
+        for x, xe, wb, wt in adj[z]:
+            dx = dist[x]
+            if dx is None or xe == eid:
+                continue
+            cand = (dx.base + wb, dx.tie + wt)
+            if cur is None or cand < cur:
+                cur = cand
+                parent[z] = x
+                parent_edge[z] = xe
+                depth[z] = depth[x] + 1
+        if cur is not None:
+            best[z] = cur
+            heappush(heap, (cur[0], cur[1], z))
+    while heap:
+        db, dt, z = heappop(heap)
+        if dist[z] is not None:
+            continue
+        dist[z] = W(db, dt)
+        for y, ye, wb, wt in adj[z]:
+            if dist[y] is not None:
+                continue
+            nb = db + wb
+            nt = dt + wt
+            cur = best.get(y)
+            if cur is None or (nb, nt) < cur:
+                best[y] = (nb, nt)
+                parent[y] = z
+                parent_edge[y] = ye
+                depth[y] = depth[z] + 1
+                heappush(heap, (nb, nt, y))
+    return ShortestPathTree(tree.source, dist, parent, parent_edge, depth)
 
 
 def tie_free(graph: Graph, tree: ShortestPathTree, blocked: int = 0) -> bool:

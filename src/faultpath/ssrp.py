@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .dso.offline import DeletionSweep, build_timeline
 from .dso.static import IncrementalDso
 from .graph import Graph
-from .spt import dijkstra
+from .spt import dijkstra, without_tree_edge
 
 
 Sink = Callable[[int, int, int, Optional[int]], None]
@@ -100,7 +100,7 @@ class SsrpResolver:
     def one_fault(self, eid: int, t: int) -> Optional[int]:
         row = self._one_fault.get(eid)
         if row is None:
-            row = dijkstra(self.graph, self.s, blocked=1 << eid).dist
+            row = without_tree_edge(self.graph, self.spt, eid).dist
             self._one_fault[eid] = row
         d = row[t]
         return None if d is None else d.base

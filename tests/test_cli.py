@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -201,12 +202,30 @@ MALFORMED_FILES = {
     "frac": "p 3 2\ne 0 1 1.5\ne 1 2 4\n",
     "huge": "p 2 1\ne 0 1 9999999999999999999999\n",
     "tri_plus": "p 3 2\ne 0 1 3\ne 1 2 4\n+ 0 1 5\n",
+    "tri_minus": "p 3 2\ne 0 1 3\ne 1 2 4\n- 0 1\n",
+    "cyc4": "p 4 4\ne 0 1 3\ne 1 2 4\ne 2 3 5\ne 3 0 20\n",
 }
 QUERY = ["dso", "query", "--u", "0", "--fu", "0", "--fv", "1"]
 OFFLINE = ["dso", "offline", "--timeline"]
 # the tri graph as a timeline has no updates, so only t = 0 exists
 QUERY_FILES = {"q_vertex": "q 0 0 9 0 1\n", "q_step": "q 5 0 2 0 1\n",
-               "q_ok": "q 0 0 2 0 1\n"}
+               "q_ok": "q 0 0 2 0 1\n", "q_gone": "q 1 0 2 0 1\n"}
+
+
+def corrupt_snapshots(data: bytes) -> dict[str, bytes]:
+    """Copies of a snapshot with one field of the table overwritten: the
+    first pair's v, and the x and bridge id of the first non-null entry."""
+    n_edges = struct.unpack_from("<I", data, 15)[0]
+    pair = 19 + 28 * n_edges + 4
+    off = pair + 12
+    while data[off + 8] == 0:
+        off += 9
+    entry = off + 9
+
+    def put(at, value):
+        return data[:at] + struct.pack("<I", value) + data[at + 4:]
+    return {"bad_v": put(pair + 4, 9), "bad_x": put(entry, 77),
+            "bad_bridge": put(entry + 4, 12345)}
 
 
 @pytest.mark.parametrize("code,args", [
@@ -230,6 +249,12 @@ QUERY_FILES = {"q_vertex": "q 0 0 9 0 1\n", "q_step": "q 5 0 2 0 1\n",
                  id="offline-query-t-out-of-range"),
     pytest.param(3, [*OFFLINE, "{tri_plus}", "--queries", "{q_ok}"],
                  id="offline-update-parallel-edge"),
+    pytest.param(3, [*OFFLINE, "{tri_minus}", "--queries", "{q_gone}"],
+                 id="offline-query-absent-edge"),
+    pytest.param(3, [*QUERY, "--snapshot", "{bad_v}", "--v", "2"], id="snapshot-pair-v"),
+    pytest.param(3, [*QUERY, "--snapshot", "{bad_x}", "--v", "2"], id="snapshot-entry-x"),
+    pytest.param(3, [*QUERY, "--snapshot", "{bad_bridge}", "--v", "2"],
+                 id="snapshot-entry-bridge"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     paths = {}
@@ -244,9 +269,24 @@ def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     trunc = tmp_path / "trunc.dso"
     trunc.write_bytes(snap.read_bytes()[:20])
     paths.update(snap=str(snap), trunc=str(trunc))
+    cyc = tmp_path / "cyc4.dso"
+    assert main(["dso", "build", "--graph", paths["cyc4"], "--out", str(cyc)]) == 0
+    for name, data in corrupt_snapshots(cyc.read_bytes()).items():
+        (tmp_path / f"{name}.dso").write_bytes(data)
+        paths[name] = str(tmp_path / f"{name}.dso")
     proc = subprocess.run([sys.executable, "-m", "faultpath",
                            *(a.format(**paths) for a in args)],
                           capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_offline_absent_edge_names_line_and_timestep(tmp_path, capsys):
+    tl = tmp_path / "t.timeline"
+    tl.write_text(MALFORMED_FILES["tri_minus"])
+    q = tmp_path / "q.txt"
+    q.write_text("c the edge 0-1 is gone after the deletion\n" + QUERY_FILES["q_gone"])
+    rc = main([*OFFLINE, str(tl), "--queries", str(q)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: line 2: no edge between 0 and 1 at timestep 1\n"

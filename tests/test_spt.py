@@ -1,7 +1,11 @@
 import random
 
-from faultpath.families import random_connected
-from faultpath.spt import SptForest, dijkstra
+import pytest
+
+from faultpath.families import detour_rich, random_connected
+from faultpath.frp2 import Frp2Solver
+from faultpath.graph import build_graph
+from faultpath.spt import SptForest, dijkstra, without_tree_edge
 
 
 def brute_lca(tree, a, b):
@@ -71,3 +75,52 @@ def test_forest_path_positions(g_mid):
             eids = f.path_edge_ids(u, v)
             for pos, eid in enumerate(eids):
                 assert f.edge_at(u, v, pos) == eid
+
+
+def _bridged():
+    # a 4-cycle joined by the bridge 3-4 to a triangle with a pendant vertex
+    edges = [(0, 1, 2), (1, 2, 3), (2, 3, 2), (3, 0, 4), (3, 4, 5),
+             (4, 5, 1), (5, 6, 2), (6, 4, 2), (6, 7, 3)]
+    return build_graph(8, edges, seed=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: detour_rich(12, 0),
+    lambda: random_connected(20, 0),
+    lambda: Frp2Solver(detour_rich(12, 0), 0, 11).aux.graph,
+    _bridged,
+], ids=["detour12", "random20", "aux-H-detour12", "bridge"])
+def test_without_tree_edge_matches_full_run(make):
+    g = make()
+    cut_off = 0
+    for s in range(g.n):
+        tree = dijkstra(g, s)
+        for v in range(g.n):
+            if v == s or tree.dist[v] is None:
+                continue
+            eid = tree.parent_edge[v]
+            got = without_tree_edge(g, tree, eid)
+            want = dijkstra(g, s, blocked=1 << eid)
+            for z in range(g.n):
+                assert got.dist[z] == want.dist[z]
+                assert got.parent[z] == want.parent[z]
+                assert got.parent_edge[z] == want.parent_edge[z]
+                assert got.depth[z] == want.depth[z]
+                if want.dist[z] is None:
+                    cut_off += 1
+                else:
+                    assert got.path_edges(z) == want.path_edges(z)
+    if make is _bridged:
+        # removing the bridge cuts the triangle and its pendant off
+        assert cut_off > 0
+
+
+def test_without_tree_edge_keeps_tree_for_non_tree_edges():
+    g = random_connected(20, 0)
+    tree = dijkstra(g, 0)
+    on_tree = {tree.parent_edge[v] for v in range(g.n) if v != 0}
+    off_tree = [eid for eid in g.edges if eid not in on_tree]
+    assert off_tree
+    for eid in off_tree:
+        assert without_tree_edge(g, tree, eid) is tree
+    assert without_tree_edge(g, tree, max(g.edges) + 1) is tree
