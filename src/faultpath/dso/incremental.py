@@ -6,7 +6,10 @@ Inserting an edge (x, y) of weight w does only the work the edge can change.
   endpoint is reachable from s, or when both are and d(s, x) + w > d(s, y)
   and d(s, y) + w > d(s, x): every route through the edge is then strictly
   longer than one avoiding it, so Dijkstra settles every vertex with the
-  same distance and parent.  Every other tree is rebuilt.
+  same distance and parent.  Every other tree is rebuilt, and a rebuilt
+  tree whose ``tied`` flag is set raises TieDetected.  A kept tree needs no
+  such check: no route through the edge is as short as its distances, so
+  it gains no second shortest path.
 - Pairs.  A pair (u, v) keeps its old sub-table object when d(u, v) is
   unchanged, no entry is null, and no entry is longer than the through-edge
   floor d(u, ex) + w + d(ey, v) of each reachable orientation (ex, ey).
@@ -372,36 +375,6 @@ def _reuses_pair(ctx: InsertionContext, u: int, v: int) -> bool:
     return True
 
 
-def _insert_creates_tie(old: SptForest, new: SptForest, x: int, y: int, w: W,
-                        rebuilt: list[int]) -> bool:
-    """Any shortest path in the grown graph either avoids the new edge (the
-    old unique path) or crosses it once; a tie means two of the three
-    candidate routes hit the new distance for some pair.  Only the rows of
-    rebuilt sources can tie: from a kept source, every route through the new
-    edge is strictly longer than the old distance."""
-    n = new.graph.n
-    for u in rebuilt:
-        od = old.spts[u].dist
-        nd = new.spts[u].dist
-        dux, duy = od[x], od[y]
-        for v in range(u + 1, n):
-            target = nd[v]
-            if target is None:
-                continue
-            hits = 1 if od[v] == target else 0
-            if dux is not None:
-                o = old.spts[y].dist[v]
-                if o is not None and dux + w + o == target:
-                    hits += 1
-            if duy is not None:
-                o = old.spts[x].dist[v]
-                if o is not None and duy + w + o == target:
-                    hits += 1
-            if hits != 1:
-                return True
-    return False
-
-
 def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
                 tie: Optional[int] = None, eid: Optional[int] = None) -> int:
     """Add an edge and refresh the structure; returns the new edge id.
@@ -411,7 +384,7 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
     every other stored interval entry is recomputed from the old structure.
     Worst-case cost is one all-sources rebuild plus a constant amount of
     work per stored interval entry.  Raises DuplicateEdge for parallel
-    inserts and TieDetected if the fresh weight breaks path uniqueness.
+    inserts and TieDetected when a rebuilt tree has two shortest paths.
     """
     g = dso.graph
     if x == y:
@@ -423,16 +396,13 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
     w = W(w_base, tie)
     g2, eid = g.plus_edge(x, y, w, eid=eid)
     spts = []
-    rebuilt = []
     for s, tree in enumerate(dso.forest.spts):
-        if _keeps_tree(tree, x, y, w):
-            spts.append(tree)
-        else:
-            spts.append(dijkstra(g2, s, with_lca=True))
-            rebuilt.append(s)
+        if not _keeps_tree(tree, x, y, w):
+            tree = dijkstra(g2, s, with_lca=True)
+            if tree.tied:
+                raise TieDetected("inserted weight creates equal-length paths")
+        spts.append(tree)
     new_forest = SptForest(g2, spts)
-    if _insert_creates_tie(dso.forest, new_forest, x, y, w, rebuilt):
-        raise TieDetected("inserted weight creates equal-length paths")
 
     ctx = InsertionContext(dso, new_forest, eid, x, y, w)
     new_table: dict = {}

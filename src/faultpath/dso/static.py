@@ -96,8 +96,11 @@ class IncrementalDso:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def build(cls, graph: Graph, seed: int = 0) -> "IncrementalDso":
-        forest = SptForest.build(graph)
+    def build(cls, graph: Graph, seed: int = 0,
+              forest: Optional[SptForest] = None) -> "IncrementalDso":
+        """``forest`` is graph's all-sources forest when the caller has it."""
+        if forest is None:
+            forest = SptForest.build(graph)
         table: dict = {}
         n = graph.n
         for u in range(n):

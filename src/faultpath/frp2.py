@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from .dso.static import IncrementalDso
 from .graph import Disconnected, Graph, TIE_RANGE
-from .spt import dijkstra, tie_free, without_tree_edge
+from .spt import ShortestPathTree, SptForest, dijkstra, without_tree_edge
 from .weights import CompositeWeight as W
 
 
@@ -34,9 +34,14 @@ class Frp1Result:
         return len(self.path_eids)
 
 
-def frp1_all(graph: Graph, s: int, t: int) -> Frp1Result:
-    """Delete each edge of pi(s, t) in turn and search again below it."""
-    spt = dijkstra(graph, s)
+def frp1_all(graph: Graph, s: int, t: int,
+             spt: Optional[ShortestPathTree] = None) -> Frp1Result:
+    """Delete each edge of pi(s, t) in turn and search again below it.
+
+    ``spt`` is the tree of s in ``graph`` when the caller already has it.
+    """
+    if spt is None:
+        spt = dijkstra(graph, s)
     if spt.dist[t] is None:
         raise Disconnected(f"{s} and {t} are disconnected")
     pv = spt.path_vertices(t)
@@ -67,7 +72,8 @@ class AuxGraphH:
 
     Base edges keep their ids inside H; path-edge ids are reserved (absent
     from H itself, used by the level graphs that re-add path ranges).  Star
-    edge ids start above every base id.
+    edge ids start above every base id.  ``forest`` holds H's all-sources
+    trees, none of them tied.
     """
 
     base: Graph
@@ -78,14 +84,7 @@ class AuxGraphH:
     term_minus: list[int]
     term_plus: list[int]
     star_info: dict[int, tuple[str, int, int]]  # star eid -> (side, pos k, path pos of x')
-
-    @property
-    def s(self) -> int:
-        return self.path_verts[0]
-
-    @property
-    def t(self) -> int:
-        return self.path_verts[-1]
+    forest: SptForest
 
     def two_term_value(self, length: Optional[W]) -> Optional[int]:
         """Base answer of a terminal-to-terminal H distance.
@@ -126,7 +125,6 @@ def build_H(graph: Graph, path_verts: list[int], path_eids: list[int],
     h_edges = len(path_eids)
     n_big = graph.base_weight_sum() + 1
     path_set = set(path_eids)
-    pos_of = {v: i for i, v in enumerate(path_verts)}
     pre = [W(0, 0)]
     for eid in path_eids:
         pre.append(pre[-1] + graph.edges[eid].w)
@@ -156,17 +154,11 @@ def build_H(graph: Graph, path_verts: list[int], path_eids: list[int],
             for ppos in range(k + 1, h_edges + 1):
                 wsuf = W(total.base - pre[ppos].base + n_big, rng.randrange(1, TIE_RANGE))
                 star_info[h.add_edge(dp, path_verts[ppos], wsuf)] = ("+", k, ppos)
-        if _aux_ties_ok(h):
+        forest = SptForest.build(h)
+        if not any(tree.tied for tree in forest.spts):
             return AuxGraphH(graph, path_verts, path_eids, h, n_big,
-                             term_minus, term_plus, star_info)
+                             term_minus, term_plus, star_info, forest)
     raise RuntimeError("could not draw tie-free star weights for H")
-
-
-def _aux_ties_ok(h: Graph) -> bool:
-    for s in range(h.n):
-        if not tie_free(h, dijkstra(h, s)):
-            return False
-    return True
 
 
 def frp2_one_on_path(h_dso: IncrementalDso, aux: AuxGraphH, d1_pos: int,
@@ -194,7 +186,6 @@ class OffPathMatrix:
             blocked |= 1 << eid
         self.graph = graph
         self.path_verts = path_verts
-        self.pos_of = {v: i for i, v in enumerate(path_verts)}
         self._trees = [dijkstra(graph, v, blocked=blocked) for v in path_verts]
         self.dist: list[list[Optional[W]]] = [
             [tree.dist[w] for w in path_verts] for tree in self._trees]
@@ -222,12 +213,13 @@ class Frp2Solver:
         self.s = s
         self.t = t
         self.seed = seed
-        spt = dijkstra(graph, s, with_lca=False)
+        spt = dijkstra(graph, s)
         if spt.dist[t] is None:
             raise Disconnected(f"{s} and {t} are disconnected")
         self.path_verts = spt.path_vertices(t)
         self.path_eids = spt.path_edges(t)
         self._aux = aux
+        self._spt = spt
         self.dist_st: W = spt.dist[t]
         self.pos_of_eid = {eid: k for k, eid in enumerate(self.path_eids)}
         self.pre = [W(0, 0)]
@@ -236,7 +228,6 @@ class Frp2Solver:
         self._frp1: Optional[Frp1Result] = None
         self._h_dso: Optional[IncrementalDso] = None
         self._matrix: Optional[OffPathMatrix] = None
-        self._term_dists: dict[int, list[Optional[W]]] = {}
         self._uprime: Optional[list] = None
         self._u_rows: dict[int, list] = {}
         self._rp_sets: dict[int, frozenset] = {}
@@ -246,7 +237,7 @@ class Frp2Solver:
     @property
     def frp1(self) -> Frp1Result:
         if self._frp1 is None:
-            self._frp1 = frp1_all(self.graph, self.s, self.t)
+            self._frp1 = frp1_all(self.graph, self.s, self.t, self._spt)
         return self._frp1
 
     @property
@@ -259,7 +250,8 @@ class Frp2Solver:
     @property
     def h_dso(self) -> IncrementalDso:
         if self._h_dso is None:
-            self._h_dso = IncrementalDso.build(self.aux.graph, seed=self.seed)
+            self._h_dso = IncrementalDso.build(self.aux.graph, seed=self.seed,
+                                               forest=self.aux.forest)
         return self._h_dso
 
     @property
@@ -269,12 +261,8 @@ class Frp2Solver:
         return self._matrix
 
     def _term_dist(self, d1_pos: int) -> list[Optional[W]]:
-        """Dijkstra in H from d1's minus-terminal (H distances to everything)."""
-        row = self._term_dists.get(d1_pos)
-        if row is None:
-            row = dijkstra(self.aux.graph, self.aux.term_minus[d1_pos]).dist
-            self._term_dists[d1_pos] = row
-        return row
+        """H distances from d1's minus-terminal to everything."""
+        return self.aux.forest.spts[self.aux.term_minus[d1_pos]].dist
 
     # -- the U / U' / W machinery -------------------------------------------
 
@@ -422,7 +410,7 @@ class Frp2Solver:
         m = self.matrix
         if kind == "H":
             l, r = winner[1], winner[2]
-            td_tree = dijkstra(self.aux.graph, self.aux.term_minus[l])
+            td_tree = self.aux.forest.spts[self.aux.term_minus[l]]
             hpath = td_tree.path_edges(self.aux.term_plus[r])
             return self.aux.expand_h_edges(hpath)
         _, l, r, w, a, b, z = winner

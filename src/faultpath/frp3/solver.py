@@ -20,8 +20,9 @@ from typing import Callable, Optional
 
 from ..dso.offline import DeletionSweep, build_timeline
 from ..dso.static import IncrementalDso
-from ..frp2 import Frp2Solver, OffPathMatrix, build_H, _aux_ties_ok
+from ..frp2 import Frp2Solver, OffPathMatrix, build_H
 from ..graph import Graph
+from ..spt import dijkstra
 from .oracles import MirrorOracleB, OracleA, OracleB, PathCoords, mirror_coords
 from .partition import BinaryPartition, level_graph, pad_to_power_of_two
 from .snake import PairProbeLoop, SnakeOracles
@@ -87,7 +88,7 @@ class Frp3Solver:
             for i in range(1, P.k + 1):
                 for parity in (0, 1):
                     g = level_graph(aux, self.partition, i, parity)
-                    if not _aux_ties_ok(g):
+                    if any(dijkstra(g, s).tied for s in range(g.n)):
                         ok = False
                         break
                     levels[(i, parity)] = g

@@ -42,6 +42,26 @@ def _dijkstra_all(graph: Graph, source: int, blocked: int):
     return dist, parent, parent_edge
 
 
+def tied(graph: Graph, source: int, blocked: int = 0) -> bool:
+    """Does some vertex reachable from ``source`` have two shortest paths?
+
+    Counts, for each reached vertex other than the source, the unblocked
+    edges that end a shortest path into it; a tie is a count above one.
+    """
+    dist, _, _ = _dijkstra_all(graph, source, blocked)
+    for v, dv in enumerate(dist):
+        if dv is None or v == source:
+            continue
+        hits = 0
+        for u, eid, wb, wt in graph.adj[v]:
+            du = dist[u]
+            if not (blocked >> eid) & 1 and du is not None and du + W(wb, wt) == dv:
+                hits += 1
+        if hits > 1:
+            return True
+    return False
+
+
 def dist_avoiding(graph: Graph, u: int, v: int, fails: Iterable[int]) -> Optional[W]:
     """Exact distance u -> v with the given edges removed; None if cut off."""
     blocked = 0

@@ -10,6 +10,11 @@ edge e.  Removing a tree edge can only change the vertices below it, so it
 copies the tree and reruns Dijkstra on that subtree alone, seeded from the
 unchanged vertices around it (the single-failure idea of Malik, Mittal and
 Gupta, 1989).  Under verified unique ties the result equals a full run.
+
+Both searches run the one settle loop ``_settle``, which also flags a tie
+as it settles: every tree's ``tied`` says whether some vertex it reaches has
+two shortest paths.  Uniqueness is checked by reading that flag, never by a
+second pass over the edges.
 """
 from __future__ import annotations
 
@@ -37,20 +42,22 @@ class ShortestPathTree:
 
     ``dist[v] is None`` marks unreachable vertices.  ``parent_edge[v]`` is the
     id of the tree edge into ``v``; ``depth[v]`` counts tree hops from the
-    source.
+    source.  ``tied`` is True when some reachable vertex has two shortest
+    paths from the source, so the tree is not the unique one.
     """
 
     __slots__ = (
-        "source", "dist", "parent", "parent_edge", "depth",
+        "source", "dist", "parent", "parent_edge", "depth", "tied",
         "_children", "_euler", "_first", "_edepth", "_sparse", "_log", "_lift",
     )
 
-    def __init__(self, source: int, dist, parent, parent_edge, depth):
+    def __init__(self, source: int, dist, parent, parent_edge, depth, tied: bool):
         self.source = source
         self.dist: list[Optional[W]] = dist
         self.parent: list[int] = parent
         self.parent_edge: list[Optional[int]] = parent_edge
         self.depth: list[int] = depth
+        self.tied = tied
         self._children = None
         self._euler = None
         self._first = None
@@ -174,6 +181,43 @@ class ShortestPathTree:
         return self.depth[g] > self.depth[c_near]
 
 
+def _settle(adj, heap, best, equal, dist, parent, parent_edge, depth,
+            blocked: int = 0) -> bool:
+    """The one Dijkstra loop: settle everything the seeded ``heap`` reaches.
+
+    ``dist[v] is None`` marks a vertex not settled yet; ``best[v]`` is the
+    least (base, tie) key offered to it so far, and ``heap`` holds an entry
+    per improving offer.  Relaxation is strict, so among equal offers the
+    first wins.  ``equal`` collects each offer (v, key) that matched
+    ``best[v]``; the result is whether one of them still equals the key v
+    settled with.  Composite weights are positive, so that holds exactly
+    when some vertex has two shortest paths: where their common end begins,
+    they arrive by two edges, two offers equal to that vertex's key.
+    """
+    while heap:
+        db, dt, u = heappop(heap)
+        if dist[u] is not None:
+            continue
+        dist[u] = W(db, dt)
+        du = depth[u] + 1
+        for v, eid, wb, wt in adj[u]:
+            if dist[v] is not None or (blocked >> eid) & 1:
+                continue
+            nb = db + wb
+            nt = dt + wt
+            key = (nb, nt)
+            cur = best[v]
+            if cur is None or key < cur:
+                best[v] = key
+                parent[v] = u
+                parent_edge[v] = eid
+                depth[v] = du
+                heappush(heap, (nb, nt, v))
+            elif key == cur:
+                equal.append((v, key))
+    return any(best[v] == key for v, key in equal)
+
+
 def dijkstra(graph: Graph, source: int, blocked: int = 0, with_lca: bool = False) -> ShortestPathTree:
     """Exact single-source run; ``blocked`` is a bitmask of removed edge ids."""
     n = graph.n
@@ -181,30 +225,11 @@ def dijkstra(graph: Graph, source: int, blocked: int = 0, with_lca: bool = False
     parent = [-1] * n
     parent_edge: list[Optional[int]] = [None] * n
     depth = [0] * n
-    adj = graph.adj
-    heap: list[tuple[int, int, int]] = [(0, 0, source)]
-    seen = [False] * n
     best: list[Optional[tuple[int, int]]] = [None] * n
     best[source] = (0, 0)
-    while heap:
-        db, dt, u = heappop(heap)
-        if seen[u]:
-            continue
-        seen[u] = True
-        dist[u] = W(db, dt)
-        for v, eid, wb, wt in adj[u]:
-            if seen[v] or (blocked >> eid) & 1:
-                continue
-            nb = db + wb
-            nt = dt + wt
-            cur = best[v]
-            if cur is None or (nb, nt) < cur:
-                best[v] = (nb, nt)
-                parent[v] = u
-                parent_edge[v] = eid
-                depth[v] = depth[u] + 1
-                heappush(heap, (nb, nt, v))
-    tree = ShortestPathTree(source, dist, parent, parent_edge, depth)
+    tied = _settle(graph.adj, [(0, 0, source)], best, [], dist, parent,
+                   parent_edge, depth, blocked)
+    tree = ShortestPathTree(source, dist, parent, parent_edge, depth, tied)
     if with_lca:
         tree.build_lca()
     return tree
@@ -217,9 +242,10 @@ def without_tree_edge(graph: Graph, tree: ShortestPathTree, eid: int) -> Shortes
     ``eid`` blocked, and ``tree`` itself when ``eid`` is not one of its
     edges.  Only the subtree S below ``eid`` is searched: every vertex
     outside S keeps its path, each vertex of S is seeded with its best edge
-    from outside S, and Dijkstra then runs inside S with the same keys and
-    the same strict relaxation as a full run.  Vertices of S that G - e
-    cuts off end unreachable.
+    from outside S, and ``_settle`` then runs inside S.  Vertices of S that
+    G - e cuts off end unreachable.  Outside S, G - e has only paths that G
+    has, at the same lengths, so ``tied`` is exact whenever ``tree`` is not
+    tied; a tied ``tree`` gives a tied result.
     """
     e = graph.edges.get(eid)
     if e is None:
@@ -242,7 +268,8 @@ def without_tree_edge(graph: Graph, tree: ShortestPathTree, eid: int) -> Shortes
     depth = list(tree.depth)
     adj = graph.adj
     heap: list[tuple[int, int, int]] = []
-    best: dict[int, tuple[int, int]] = {}
+    best: list[Optional[tuple[int, int]]] = [None] * graph.n
+    equal: list[tuple[int, tuple[int, int]]] = []
     # clear S first: afterwards a None distance next to S marks a vertex of
     # S, since every neighbour of S was reachable in G
     for z in sub:
@@ -256,63 +283,29 @@ def without_tree_edge(graph: Graph, tree: ShortestPathTree, eid: int) -> Shortes
             dx = dist[x]
             if dx is None or xe == eid:
                 continue
-            cand = (dx.base + wb, dx.tie + wt)
-            if cur is None or cand < cur:
-                cur = cand
+            key = (dx.base + wb, dx.tie + wt)
+            if cur is None or key < cur:
+                cur = key
                 parent[z] = x
                 parent_edge[z] = xe
                 depth[z] = depth[x] + 1
+            elif key == cur:
+                equal.append((z, key))
         if cur is not None:
             best[z] = cur
             heappush(heap, (cur[0], cur[1], z))
-    while heap:
-        db, dt, z = heappop(heap)
-        if dist[z] is not None:
-            continue
-        dist[z] = W(db, dt)
-        for y, ye, wb, wt in adj[z]:
-            if dist[y] is not None:
-                continue
-            nb = db + wb
-            nt = dt + wt
-            cur = best.get(y)
-            if cur is None or (nb, nt) < cur:
-                best[y] = (nb, nt)
-                parent[y] = z
-                parent_edge[y] = ye
-                depth[y] = depth[z] + 1
-                heappush(heap, (nb, nt, y))
-    return ShortestPathTree(tree.source, dist, parent, parent_edge, depth)
-
-
-def tie_free(graph: Graph, tree: ShortestPathTree, blocked: int = 0) -> bool:
-    """Check that each settled vertex has a strictly unique best relaxation."""
-    for v in range(graph.n):
-        dv = tree.dist[v]
-        if dv is None or v == tree.source:
-            continue
-        hits = 0
-        for u, eid, wb, wt in graph.adj[v]:
-            if (blocked >> eid) & 1:
-                continue
-            du = tree.dist[u]
-            if du is not None and du.base + wb == dv.base and du.tie + wt == dv.tie:
-                hits += 1
-                if hits > 1:
-                    return False
-        if hits != 1:
-            return False
-    return True
+    tied = _settle(adj, heap, best, equal, dist, parent, parent_edge, depth)
+    return ShortestPathTree(tree.source, dist, parent, parent_edge, depth,
+                            tree.tied or tied)
 
 
 def unique_paths_ok(graph: Graph, removal_sample: list[int]) -> bool:
     """Verify unique shortest paths on G and on G minus each sampled edge."""
-    masks = [0] + [1 << eid for eid in removal_sample]
-    for mask in masks:
-        for s in range(graph.n):
-            tree = dijkstra(graph, s, blocked=mask)
-            if not tie_free(graph, tree, blocked=mask):
-                return False
+    for s in range(graph.n):
+        tree = dijkstra(graph, s)
+        if tree.tied or any(without_tree_edge(graph, tree, eid).tied
+                            for eid in removal_sample):
+            return False
     return True
 
 
@@ -331,11 +324,8 @@ class SptForest:
         self.spts = spts
 
     @classmethod
-    def build(cls, graph: Graph, with_lca: bool = True) -> "SptForest":
-        return cls(graph, [dijkstra(graph, s, with_lca=with_lca) for s in range(graph.n)])
-
-    def tie_free(self) -> bool:
-        return all(tie_free(self.graph, t) for t in self.spts)
+    def build(cls, graph: Graph) -> "SptForest":
+        return cls(graph, [dijkstra(graph, s, with_lca=True) for s in range(graph.n)])
 
     def dist(self, u: int, v: int) -> Optional[W]:
         return self.spts[u].dist[v]

@@ -4,7 +4,7 @@ from faultpath.graph import (
     Graph, GraphFormatError, Overflow, dump_graph_text, parse_graph_text,
     perturb_and_verify,
 )
-from faultpath.reference import bellman_ford, dist_avoiding
+from faultpath.reference import bellman_ford, dist_avoiding, tied
 from faultpath.spt import dijkstra
 from faultpath.weights import CompositeWeight as W
 
@@ -23,11 +23,10 @@ def test_perturb_triangle_unique_paths():
     assert len(ties) == 3
     # every pairwise shortest path is strictly unique: re-run the verifier
     # over all single-edge removals, not just the sample
-    from faultpath.spt import tie_free
     for eid in list(g.edges) + [-1]:
         mask = 0 if eid < 0 else 1 << eid
         for s in range(3):
-            assert tie_free(g, dijkstra(g, s, blocked=mask), blocked=mask)
+            assert not tied(g, s, blocked=mask)
 
 
 def test_single_edge_unchanged_base():

@@ -8,8 +8,8 @@ from faultpath.dso.static import IncrementalDso
 from faultpath.families import fixed_p12_family, random_connected
 from faultpath.frp2 import frp1_all
 from faultpath.pathform import explicit_path, to_proper_form
-from faultpath.reference import all_dists_avoiding, dist_avoiding, path_avoiding
-from faultpath.spt import SptForest, dijkstra, tie_free
+from faultpath.reference import all_dists_avoiding, dist_avoiding, path_avoiding, tied
+from faultpath.spt import SptForest, dijkstra
 
 
 @st.composite
@@ -24,7 +24,7 @@ def graphs(draw):
 @given(graphs())
 def test_unique_paths_after_perturbation(g):
     for s in range(g.n):
-        assert tie_free(g, dijkstra(g, s))
+        assert not tied(g, s)
 
 
 @settings(max_examples=30, deadline=None)

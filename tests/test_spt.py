@@ -4,8 +4,10 @@ import pytest
 
 from faultpath.families import detour_rich, random_connected
 from faultpath.frp2 import Frp2Solver
-from faultpath.graph import build_graph
+from faultpath.graph import Graph, build_graph
+from faultpath.reference import tied
 from faultpath.spt import SptForest, dijkstra, without_tree_edge
+from faultpath.weights import CompositeWeight as W
 
 
 def brute_lca(tree, a, b):
@@ -106,6 +108,7 @@ def test_without_tree_edge_matches_full_run(make):
                 assert got.parent[z] == want.parent[z]
                 assert got.parent_edge[z] == want.parent_edge[z]
                 assert got.depth[z] == want.depth[z]
+                assert got.tied == want.tied
                 if want.dist[z] is None:
                     cut_off += 1
                 else:
@@ -124,3 +127,67 @@ def test_without_tree_edge_keeps_tree_for_non_tree_edges():
     for eid in off_tree:
         assert without_tree_edge(g, tree, eid) is tree
     assert without_tree_edge(g, tree, max(g.edges) + 1) is tree
+
+
+def _planted(n, edges):
+    g = Graph(n)
+    for u, v, base, tie in edges:
+        g.add_edge(u, v, W(base, tie))
+    return g
+
+
+def _square():
+    # 0-1-3 and 0-2-3 are equal in both channels
+    return _planted(4, [(0, 1, 1, 1), (1, 3, 1, 1), (0, 2, 1, 1), (2, 3, 1, 1)])
+
+
+def _beaten():
+    # from 0, vertex 4 is offered (10, 2) by 1 and by 2, then (7, 2) by 3
+    return _planted(5, [(0, 1, 5, 1), (0, 2, 5, 1), (0, 3, 6, 1),
+                        (1, 4, 5, 1), (2, 4, 5, 1), (3, 4, 1, 1)])
+
+
+def _tied_after_cut():
+    # from 0, vertex 3 is reached by the edge 0-3 alone; without it the
+    # routes through 1 and through 2 tie
+    return _planted(4, [(0, 3, 1, 1), (0, 1, 5, 1), (1, 3, 5, 1),
+                        (0, 2, 5, 1), (2, 3, 5, 1)])
+
+
+def _degenerate(n, seed):
+    # a random graph whose weights collide in both channels
+    g = random_connected(n, seed)
+    return _planted(n, [(e.u, e.v, e.w.base % 3 + 1, 1) for e in g.edges.values()])
+
+
+@pytest.mark.parametrize("make", [
+    _square, _beaten, _tied_after_cut, _bridged,
+    lambda: _degenerate(9, 1), lambda: _degenerate(12, 2), lambda: _degenerate(14, 3),
+], ids=["square", "beaten", "tied-after-cut", "bridge", "random9", "random12", "random14"])
+def test_tied_flag_matches_reference(make):
+    g = make()
+    for s in range(g.n):
+        tree = dijkstra(g, s)
+        assert tree.tied == tied(g, s)
+        for eid in g.edges:
+            mask = 1 << eid
+            want = tied(g, s, mask)
+            assert dijkstra(g, s, blocked=mask).tied == want
+            # exact from an untied tree; a tied tree stays tied
+            assert without_tree_edge(g, tree, eid).tied == (tree.tied or want)
+
+
+def test_tied_flag_cases():
+    assert dijkstra(_square(), 0).tied
+    # equal offers that a later one beats are not a tie
+    g = _beaten()
+    assert not dijkstra(g, 0).tied and not tied(g, 0)
+    # G has no tie from 0, G - (0, 3) has one, found by the subtree search
+    g = _tied_after_cut()
+    tree = dijkstra(g, 0)
+    assert not tree.tied
+    assert without_tree_edge(g, tree, tree.parent_edge[3]).tied
+    # the degenerate graphs hold both tied and untied trees
+    flags = {dijkstra(_degenerate(n, seed), s).tied
+             for n, seed in ((9, 1), (12, 2), (14, 3)) for s in range(n)}
+    assert flags == {False, True}
