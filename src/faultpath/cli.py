@@ -152,7 +152,7 @@ def cmd_dso(args) -> int:
             ln, _ = dso.query_edge_failure(u, v, eid)
             answers[(qt, u, v, fu, fv)] = None if ln is None else ln.base
 
-    build_timeline(tl, seed=args.seed, on_leaf=on_leaf, keep_leaves=False)
+    build_timeline(tl, seed=args.seed, on_leaf=on_leaf)
     out = _Out(args.out)
     for _, (qt, u, v, fu, fv) in queries:
         out.line({"t": qt, "u": u, "v": v, "f": [fu, fv],
@@ -372,7 +372,7 @@ def _verify_one(suite: str, n: int, seed: int):
                         reports.append((t, u, v, eid,
                                         None if got is None else got.base))
 
-        off = build_timeline(tl, seed=seed, on_leaf=on_leaf, keep_leaves=False)
+        off = build_timeline(tl, seed=seed, on_leaf=on_leaf)
         for (t, u, v, eid, got) in reports:
             g_t = off.graph_at(t)
             want = dist_avoiding(g_t, u, v, [eid])

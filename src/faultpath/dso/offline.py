@@ -2,9 +2,10 @@
 
 A binary range tree over the leaves holds, at each node, the intersection of
 all leaf graphs in its interval; the root oracle is a static build and every
-child derives from its parent by edge insertions only.  Leaves answer the
-per-leaf queries.  Traversal is depth-first with one working clone per level,
-so at most a root-to-leaf chain of oracles is ever alive in batched mode.
+child derives from its parent by edge insertions only.  Each leaf's oracle
+is handed to a callback in leaf order and then dropped.  Traversal is
+depth-first with one working clone per level, so at most a root-to-leaf
+chain of oracles is ever alive.
 
 The one range-tree routine, ``build_timeline``, takes the leaves as edge-id
 masks over one table of edge specs, and two schedules produce them:
@@ -18,7 +19,7 @@ masks over one table of edge specs, and two schedules produce them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from ..graph import Edge, Graph, TieSource
 from ..weights import CompositeWeight as W
@@ -28,10 +29,6 @@ from .static import IncrementalDso
 
 class InvalidDelete(ValueError):
     """Deletion of an edge that is not present at that timestep."""
-
-
-class TimeOutOfRange(ValueError):
-    """Query timestep outside [0, T]."""
 
 
 @dataclass
@@ -95,14 +92,14 @@ class DeletionSweep:
 
 
 class OfflineDso:
-    """Per-leaf oracles produced by the range-tree build."""
+    """What the range-tree build leaves behind: the leaf graphs as masks,
+    the per-node insertion counts and the peak number of live oracles."""
 
     def __init__(self, timeline: Timeline | DeletionSweep, edge_specs, masks,
-                 leaves, peak_live: int, node_stats):
+                 peak_live: int, node_stats):
         self.timeline = timeline
         self.edge_specs = edge_specs
         self.masks = masks
-        self.leaves = leaves
         self.peak_live = peak_live
         self.node_stats = node_stats
 
@@ -112,14 +109,6 @@ class OfflineDso:
 
     def graph_at(self, t: int) -> Graph:
         return _graph_for_mask(self.timeline.graph0.n, self.edge_specs, self.masks[t])
-
-    def query_at(self, t: int, u: int, v: int, eid: int, want_path: bool = False):
-        """Distance u -> v at leaf t avoiding edge ``eid``."""
-        if not (0 <= t < len(self.masks)):
-            raise TimeOutOfRange(f"t={t} outside [0, {len(self.masks) - 1}]")
-        if self.leaves is None or self.leaves[t] is None:
-            raise RuntimeError("leaf oracles were not kept; use batched mode")
-        return self.leaves[t].query_edge_failure(u, v, eid, want_path=want_path)
 
 
 def _graph_for_mask(n: int, edge_specs, mask: int) -> Graph:
@@ -131,23 +120,14 @@ def _graph_for_mask(n: int, edge_specs, mask: int) -> Graph:
     return g
 
 
-def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0,
-                   on_leaf: Optional[Callable[[int, IncrementalDso], None]] = None,
-                   keep_leaves: Optional[bool] = None) -> OfflineDso:
-    """Materialise the range tree over the leaves of ``timeline`` and visit
-    every leaf's oracle.
-
-    ``on_leaf(t, dso)`` is called per leaf in order (batched mode); when
-    ``keep_leaves`` the per-leaf oracles are retained for ``query_at``.  By
-    default leaves are kept only when no callback is given.
-    """
-    if keep_leaves is None:
-        keep_leaves = on_leaf is None
+def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0, *,
+                   on_leaf: Callable[[int, IncrementalDso], None]) -> OfflineDso:
+    """Materialise the range tree over the leaves of ``timeline`` and call
+    ``on_leaf(t, dso)`` for every leaf t in order."""
     g0 = timeline.graph0
     edge_specs, masks = timeline.leaf_masks(seed)
 
     T = len(masks) - 1
-    leaves: Optional[list] = [None] * (T + 1) if keep_leaves else None
     live = 1
     peak = 1
     node_stats: list[tuple[int, int, int]] = []
@@ -177,10 +157,7 @@ def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0,
     def descend(dso: IncrementalDso, node_mask: int, lo: int, hi: int) -> None:
         nonlocal live, peak
         if lo == hi:
-            if on_leaf is not None:
-                on_leaf(lo, dso)
-            if keep_leaves:
-                leaves[lo] = dso
+            on_leaf(lo, dso)
             return
         mid = (lo + hi) // 2
         left_mask = interval_mask(lo, mid)
@@ -196,7 +173,7 @@ def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0,
         descend(dso, right_mask, mid + 1, hi)
 
     descend(root, root_mask, 0, T)
-    return OfflineDso(timeline, edge_specs, masks, leaves, peak, node_stats)
+    return OfflineDso(timeline, edge_specs, masks, peak, node_stats)
 
 
 def _clone(dso: IncrementalDso) -> IncrementalDso:

@@ -178,17 +178,22 @@ def frp2_one_on_path(h_dso: IncrementalDso, aux: AuxGraphH, d1_pos: int,
 # ---------------------------------------------------------------------------
 
 class OffPathMatrix:
-    """Distances (and parents) between path vertices in G minus pi(s, t)."""
+    """Distances (and paths) between path vertices in G minus pi(s, t).
 
-    def __init__(self, graph: Graph, path_verts: list[int], path_eids: list[int]):
-        blocked = 0
-        for eid in path_eids:
-            blocked |= 1 << eid
-        self.graph = graph
-        self.path_verts = path_verts
-        self._trees = [dijkstra(graph, v, blocked=blocked) for v in path_verts]
-        self.dist: list[list[Optional[W]]] = [
-            [tree.dist[w] for w in path_verts] for tree in self._trees]
+    Read off H's trees: every star edge costs at least N, more than any
+    simple path of G, so an H distance below N between base vertices is the
+    G - pi(s, t) distance, over the same edges.  Anything else crosses a
+    terminal and stands for a pair that G - pi(s, t) disconnects (None).
+    """
+
+    def __init__(self, aux: AuxGraphH):
+        self.path_verts = aux.path_verts
+        self._trees = [aux.forest.spts[v] for v in aux.path_verts]
+        self.dist: list[list[Optional[W]]] = []
+        for tree in self._trees:
+            row = [tree.dist[w] for w in aux.path_verts]
+            self.dist.append([d if d is not None and d.base < aux.n_big else None
+                              for d in row])
 
     def d(self, i: int, j: int) -> Optional[W]:
         return self.dist[i][j]
@@ -257,7 +262,7 @@ class Frp2Solver:
     @property
     def matrix(self) -> OffPathMatrix:
         if self._matrix is None:
-            self._matrix = OffPathMatrix(self.graph, self.path_verts, self.path_eids)
+            self._matrix = OffPathMatrix(self.aux)
         return self._matrix
 
     def _term_dist(self, d1_pos: int) -> list[Optional[W]]:
@@ -431,12 +436,3 @@ def iter_required_pairs(solver: Frp2Solver) -> Iterator[tuple[int, int]]:
         for d2 in rp:
             yield solver.path_eids[d1_pos], d2
 
-
-def frp2_both_on_path(graph: Graph, s: int, t: int, sink, seed: int = 0) -> None:
-    """Emit the answer for every ordered pair of distinct path-edge failures."""
-    solver = Frp2Solver(graph, s, t, seed=seed)
-    h = len(solver.path_eids)
-    for l in range(h):
-        for r in range(l + 1, h):
-            sink(solver.path_eids[l], solver.path_eids[r],
-                 solver.both_on_path(l, r).base)

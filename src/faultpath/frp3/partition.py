@@ -31,9 +31,6 @@ class PaddedInstance:
     def hops(self) -> int:
         return len(self.path_eids)
 
-    def is_pad_pos(self, pos: int) -> bool:
-        return pos < self.pad
-
 
 def pad_to_power_of_two(graph: Graph, s: int, t: int, seed: int = 0) -> PaddedInstance:
     spt = dijkstra(graph, s)
@@ -69,10 +66,6 @@ class BinaryPartition:
         self.inst = inst
         self.k = inst.k
         self.length = 1 << inst.k
-
-    def marker_pos(self, i: int, j: int) -> int:
-        """Vertex position of m[i][j]: j blocks of 2^(k-i) edges."""
-        return j << (self.k - i)
 
     def ranges(self, i: int) -> list[tuple[int, int]]:
         """Level-i ranges as (lo, hi) edge-position spans, j ascending."""

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from ..dso.offline import DeletionSweep, build_timeline
 from ..dso.static import IncrementalDso
-from ..frp2 import Frp2Solver, OffPathMatrix, build_H
+from ..frp2 import Frp2Solver, build_H
 from ..graph import Graph
 from ..spt import dijkstra
 from .oracles import MirrorOracleB, OracleA, OracleB, PathCoords, mirror_coords
@@ -66,12 +66,11 @@ class Frp3Solver:
         self.partition = BinaryPartition(P)
         self.aux, self.levels = self._build_aux_and_levels(seed)
         self.frp2 = Frp2Solver(P.graph, P.s, P.t, seed=seed, aux=self.aux)
-        self.matrix = OffPathMatrix(P.graph, P.path_verts, P.path_eids)
-        self.frp2._matrix = self.matrix
-        coords = PathCoords(P, self.matrix)
+        matrix = self.frp2.matrix
+        coords = PathCoords(P, matrix)
         oa = OracleA(coords, P.k)
         ob = OracleB(oa)
-        obm = MirrorOracleB(mirror_coords(P, self.matrix), P.k)
+        obm = MirrorOracleB(mirror_coords(P, matrix), P.k)
         self.snakes = SnakeOracles(oa, ob, obm)
         self.oracle_a = oa
         self.oracle_b = ob
@@ -167,8 +166,7 @@ class Frp3Solver:
                     aux.term_minus[d1_pos], aux.term_plus[d1_pos], d3)
                 answers[key] = aux.two_term_value(ln)
 
-        build_timeline(DeletionSweep(aux.graph, deleted), on_leaf=on_leaf,
-                       keep_leaves=False)
+        build_timeline(DeletionSweep(aux.graph, deleted), on_leaf=on_leaf)
 
     # -- pass 2: two failures on the path ------------------------------------
 
@@ -209,7 +207,7 @@ class Frp3Solver:
 
             sweep = DeletionSweep(self.levels[(i, parity)],
                                   [P.path_eids[p] for p in del_positions])
-            build_timeline(sweep, on_leaf=on_leaf, keep_leaves=False)
+            build_timeline(sweep, on_leaf=on_leaf)
 
         for key in keys:
             rec = parts[key]

@@ -1,14 +1,16 @@
 """Undirected weighted graphs, the text file format, and weight perturbation.
 
-Edges are identified by stable integer ids; removal is always expressed as a
-bitmask over edge ids and never by reindexing.  Auxiliary constructions build
-fresh Graph objects with their own id space and keep an ``origin`` map back to
-the base graph where they need one.
+Edges are identified by stable integer ids and never reindexed.  Edges are
+removed in two ways only: the offline range tree builds its graphs from
+edge-id masks, and ``spt.without_tree_edge`` searches G - e without building
+it.  Auxiliary constructions (the graph H, its level graphs, the padded
+path) keep the base graph's id on every base edge and number their own
+edges above them.
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .weights import MAX_BASE_SUM, CompositeWeight as W
 
@@ -110,11 +112,6 @@ class TieSource:
 
     def next(self) -> int:
         return self._rng.randrange(1, TIE_RANGE)
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int, int]], seed: int = 0) -> Graph:
-    """Perturb integer-weighted edges and verify unique shortest paths."""
-    return perturb_and_verify(n, list(edges), seed)
 
 
 def perturb_and_verify(n: int, raw_edges: Sequence[tuple[int, int, int]], seed: int) -> Graph:

@@ -297,32 +297,3 @@ def transform_avoiding(segs, forest: SptForest, u: int, v: int,
         return None
     return pf
 
-
-# ---------------------------------------------------------------------------
-# divergence / convergence of an explicit path against pi(u, v)
-# ---------------------------------------------------------------------------
-
-def diverge_converge(forest: SptForest, u: int, v: int, path: list[int]) -> tuple[int, int]:
-    """First divergence and last convergence of ``path`` against pi(u, v).
-
-    ``path`` runs u -> v.  When it coincides with pi(u, v) the documented
-    sentinel (v, u) is returned.  Raises NotAPath on a broken sequence.
-    """
-    if path[0] != u or path[-1] != v:
-        raise NotAPath("path endpoints do not match the pair")
-    for a, b in zip(path, path[1:]):
-        if not forest.graph.has_endpoints(a, b):
-            raise NotAPath(f"no edge between {a} and {b}")
-    ref = forest.path_vertices(u, v)
-    if path == ref:
-        return (v, u)
-    k = 0
-    limit = min(len(path), len(ref))
-    while k + 1 < limit and path[k + 1] == ref[k + 1]:
-        k += 1
-    div = path[k]
-    k2 = 0
-    while k2 + 1 < limit and path[-2 - k2] == ref[-2 - k2]:
-        k2 += 1
-    conv = path[len(path) - 1 - k2]
-    return (div, conv)

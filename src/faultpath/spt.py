@@ -181,8 +181,7 @@ class ShortestPathTree:
         return self.depth[g] > self.depth[c_near]
 
 
-def _settle(adj, heap, best, equal, dist, parent, parent_edge, depth,
-            blocked: int = 0) -> bool:
+def _settle(adj, heap, best, equal, dist, parent, parent_edge, depth) -> bool:
     """The one Dijkstra loop: settle everything the seeded ``heap`` reaches.
 
     ``dist[v] is None`` marks a vertex not settled yet; ``best[v]`` is the
@@ -201,7 +200,7 @@ def _settle(adj, heap, best, equal, dist, parent, parent_edge, depth,
         dist[u] = W(db, dt)
         du = depth[u] + 1
         for v, eid, wb, wt in adj[u]:
-            if dist[v] is not None or (blocked >> eid) & 1:
+            if dist[v] is not None:
                 continue
             nb = db + wb
             nt = dt + wt
@@ -218,8 +217,8 @@ def _settle(adj, heap, best, equal, dist, parent, parent_edge, depth,
     return any(best[v] == key for v, key in equal)
 
 
-def dijkstra(graph: Graph, source: int, blocked: int = 0, with_lca: bool = False) -> ShortestPathTree:
-    """Exact single-source run; ``blocked`` is a bitmask of removed edge ids."""
+def dijkstra(graph: Graph, source: int, with_lca: bool = False) -> ShortestPathTree:
+    """Exact single-source run over every edge of ``graph``."""
     n = graph.n
     dist: list[Optional[W]] = [None] * n
     parent = [-1] * n
@@ -228,7 +227,7 @@ def dijkstra(graph: Graph, source: int, blocked: int = 0, with_lca: bool = False
     best: list[Optional[tuple[int, int]]] = [None] * n
     best[source] = (0, 0)
     tied = _settle(graph.adj, [(0, 0, source)], best, [], dist, parent,
-                   parent_edge, depth, blocked)
+                   parent_edge, depth)
     tree = ShortestPathTree(source, dist, parent, parent_edge, depth, tied)
     if with_lca:
         tree.build_lca()
@@ -238,14 +237,15 @@ def dijkstra(graph: Graph, source: int, blocked: int = 0, with_lca: bool = False
 def without_tree_edge(graph: Graph, tree: ShortestPathTree, eid: int) -> ShortestPathTree:
     """The tree of ``tree.source`` in G minus edge ``eid``.
 
-    Equal, under unique ties, to a full ``dijkstra`` from the source with
-    ``eid`` blocked, and ``tree`` itself when ``eid`` is not one of its
-    edges.  Only the subtree S below ``eid`` is searched: every vertex
-    outside S keeps its path, each vertex of S is seeded with its best edge
-    from outside S, and ``_settle`` then runs inside S.  Vertices of S that
-    G - e cuts off end unreachable.  Outside S, G - e has only paths that G
-    has, at the same lengths, so ``tied`` is exact whenever ``tree`` is not
-    tied; a tied ``tree`` gives a tied result.
+    Equal, under unique ties, to a full ``dijkstra`` from the source on the
+    graph rebuilt without ``eid`` (every other id kept), and ``tree``
+    itself when ``eid`` is not one of its edges.  Only the subtree S below
+    ``eid`` is searched: every vertex outside S keeps its path, each vertex
+    of S is seeded with its best edge from outside S, and ``_settle`` then
+    runs inside S.  Vertices of S that G - e cuts off end unreachable.
+    Outside S, G - e has only paths that G has, at the same lengths, so
+    ``tied`` is exact whenever ``tree`` is not tied; a tied ``tree`` gives a
+    tied result.
     """
     e = graph.edges.get(eid)
     if e is None:

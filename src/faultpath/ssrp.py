@@ -67,7 +67,7 @@ def ssrp2(graph: Graph, s: int, sink: Sink) -> SsrpStats:
                     sink(d1, d2, t, None if ln is None else ln.base)
                     stats.emitted += 1
 
-    build_timeline(DeletionSweep(graph, tree_edges), on_leaf=on_leaf, keep_leaves=False)
+    build_timeline(DeletionSweep(graph, tree_edges), on_leaf=on_leaf)
     return stats
 
 

@@ -155,7 +155,7 @@ def test_c04_offline_dynamic_dso():
                     ln, _ = dso.query_edge_failure(u, v, eid)
                     got[(t, u, v, eid)] = None if ln is None else ln.base
 
-    off = build_timeline(tl, seed=4, on_leaf=on_leaf, keep_leaves=False)
+    off = build_timeline(tl, seed=4, on_leaf=on_leaf)
     violations = 0
     for (t, u, v, eid), val in got.items():
         want = dist_avoiding(off.graph_at(t), u, v, [eid])

@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from faultpath.dso.offline import (
-    DeletionSweep, InvalidDelete, TimeOutOfRange, Timeline, build_timeline,
-)
+from faultpath.dso.offline import DeletionSweep, InvalidDelete, Timeline, build_timeline
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import detour_rich, random_connected
 from faultpath.graph import Graph
 from faultpath.reference import dist_avoiding
-from faultpath.spt import dijkstra
+from faultpath.spt import SptForest, dijkstra
 
 
 def random_timeline(g, steps, seed):
@@ -36,26 +34,52 @@ def random_timeline(g, steps, seed):
     return tl
 
 
-def all_queries_match(off, t):
+def leaf_answers(timeline, failures=None):
+    """Build ``timeline`` and answer single-failure queries at every leaf:
+    {(t, u, v, eid): length}.  By default (u, v) runs over every connected
+    pair and eid over pi(u, v); ``failures(dso)`` instead yields the
+    (u, v, eid) to ask of the leaf oracle ``dso``."""
+    answers = {}
+    graphs = {}
+
+    def every_path_edge(dso):
+        f = SptForest.build(dso.graph)
+        for u in range(f.graph.n):
+            for v in range(u + 1, f.graph.n):
+                if f.dist(u, v) is not None:
+                    for eid in f.path_edge_ids(u, v):
+                        yield u, v, eid
+
+    def on_leaf(t, dso):
+        graphs[t] = dso.graph
+        for u, v, eid in (failures or every_path_edge)(dso):
+            answers[(t, u, v, eid)], _ = dso.query_edge_failure(u, v, eid)
+
+    off = build_timeline(timeline, on_leaf=on_leaf)
+    assert sorted(graphs) == list(range(off.steps + 1))
+    for t, g_t in graphs.items():
+        assert g_t.edges == off.graph_at(t).edges
+    return off, answers
+
+
+def all_queries_match(off, answers, t):
     g_t = off.graph_at(t)
-    dso_t = IncrementalDso.build(g_t)
-    f = dso_t.forest
-    for u in range(g_t.n):
-        for v in range(u + 1, g_t.n):
-            if f.dist(u, v) is None:
-                continue
-            for eid in f.path_edge_ids(u, v):
-                want = dist_avoiding(g_t, u, v, [eid])
-                got, _ = off.query_at(t, u, v, eid)
-                assert got is None and want is None or got.base == want.base, \
-                    (t, u, v, eid)
+    checked = 0
+    for (at, u, v, eid), got in answers.items():
+        if at != t:
+            continue
+        want = dist_avoiding(g_t, u, v, [eid])
+        assert got is None and want is None or got.base == want.base, \
+            (t, u, v, eid)
+        checked += 1
+    assert checked
 
 
 def test_empty_timeline_is_static_build():
     g = random_connected(10, seed=1)
-    off = build_timeline(Timeline(g))
+    off, answers = leaf_answers(Timeline(g))
     assert off.steps == 0
-    all_queries_match(off, 0)
+    all_queries_match(off, answers, 0)
 
 
 def test_alternating_delete_insert_single_edge():
@@ -68,7 +92,7 @@ def test_alternating_delete_insert_single_edge():
         tl.updates.append(("-", cur))
         tl.updates.append(("+", e.u, e.v, e.w.base))
         cur = max(g.edges) + 1 + k
-    off = build_timeline(tl)
+    off, answers = leaf_answers(tl)
     # even steps (post-insert) contain the endpoints, odd steps do not
     for t in range(5):
         has = any(
@@ -77,7 +101,7 @@ def test_alternating_delete_insert_single_edge():
             if (off.masks[t] >> eid2) & 1
         )
         assert has == (t % 2 == 0)
-        all_queries_match(off, t)
+        all_queries_match(off, answers, t)
 
 
 def test_random_timeline_t40_n20_matches_per_step_static():
@@ -125,18 +149,15 @@ def test_double_removal_through_timeline():
     f0 = IncrementalDso.build(g).forest
     d = f0.path_edge_ids(0, g.n - 1)[0]
     tl = Timeline(g, [("-", d)])
-    off = build_timeline(tl)
-    g1 = off.graph_at(1)
-    dso1 = IncrementalDso.build(g1)
-    fq = dso1.forest
-    if fq.dist(0, g.n - 1) is not None:
-        for f_eid in fq.path_edge_ids(0, g.n - 1):
-            got, _ = off.query_at(1, 0, g.n - 1, f_eid)
-            want = dist_avoiding(g, 0, g.n - 1, [d, f_eid])
-            if want is None:
-                assert got is None
-            else:
-                assert got.base == want.base
+    _, answers = leaf_answers(tl)
+    for (t, u, v, f_eid), got in answers.items():
+        if (t, u, v) != (1, 0, g.n - 1):
+            continue
+        want = dist_avoiding(g, 0, g.n - 1, [d, f_eid])
+        if want is None:
+            assert got is None
+        else:
+            assert got.base == want.base
 
 
 def test_determinism_same_graph_same_answers():
@@ -144,31 +165,35 @@ def test_determinism_same_graph_same_answers():
     eid = sorted(g.edges)[2]
     e = g.edges[eid]
     tl = Timeline(g, [("-", eid), ("+", e.u, e.v, e.w.base), ("-", max(g.edges) + 1)])
-    off = build_timeline(tl)
+
+    def every_edge(dso):
+        for u in range(0, 12, 3):
+            for v in range(u + 1, 12):
+                for f_eid in sorted(dso.graph.edges):
+                    yield u, v, f_eid
+
+    _, answers = leaf_answers(tl, every_edge)
     # steps 1 and 3 hold graphs with identical base weights
-    for u in range(0, 12, 3):
-        for v in range(u + 1, 12):
-            for f_eid in sorted(off.edge_specs):
-                if not (off.masks[1] >> f_eid) & 1:
-                    continue
-                if not (off.masks[3] >> f_eid) & 1:
-                    continue
-                a, _ = off.query_at(1, u, v, f_eid)
-                b, _ = off.query_at(3, u, v, f_eid)
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert a.base == b.base
+    common = 0
+    for (t, u, v, f_eid), a in answers.items():
+        if t != 1 or (3, u, v, f_eid) not in answers:
+            continue
+        b = answers[(3, u, v, f_eid)]
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.base == b.base
+        common += 1
+    assert common
 
 
 def test_errors():
     g = random_connected(8, seed=1)
     with pytest.raises(InvalidDelete):
-        build_timeline(Timeline(g, [("-", max(g.edges) + 5)]))
+        build_timeline(Timeline(g, [("-", max(g.edges) + 5)]),
+                       on_leaf=lambda t, d: None)
     with pytest.raises(InvalidDelete):
-        build_timeline(DeletionSweep(g, [max(g.edges) + 1]))
-    off = build_timeline(Timeline(g))
-    with pytest.raises(TimeOutOfRange):
-        off.query_at(3, 0, 1, 0)
+        build_timeline(DeletionSweep(g, [max(g.edges) + 1]),
+                       on_leaf=lambda t, d: None)
 
 
 def edge_failure_answers(dso):

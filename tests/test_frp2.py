@@ -1,10 +1,11 @@
 import random
 
 from faultpath.families import cycle, path, random_connected
-from faultpath.frp2 import Frp2Solver, build_H, frp1_all, frp2_one_on_path, \
-    iter_required_pairs
+from faultpath.frp2 import Frp2Solver, OffPathMatrix, build_H, frp1_all, \
+    frp2_one_on_path, iter_required_pairs
+from faultpath.frp3.partition import pad_to_power_of_two
 from faultpath.graph import perturb_and_verify
-from faultpath.reference import dist_avoiding
+from faultpath.reference import all_dists_avoiding, dist_avoiding, path_avoiding
 from faultpath.spt import dijkstra
 
 
@@ -65,24 +66,53 @@ def test_H_two_failure_identity_n20():
                 assert base == want.base
 
 
+def _cut_by_path():
+    # pi(0, 3) is 0-1-2-3; off it only 1-4-3 is left, so G - pi(0, 3)
+    # leaves 0 and 2 on their own
+    return perturb_and_verify(
+        5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 2), (4, 3, 2)], seed=0)
+
+
 def test_H_between_base_vertices_ignores_terminals(g_mid):
-    g = g_mid
-    sol = Frp2Solver(g, 0, g.n - 1)
-    aux = sol.aux
-    blocked = 0
-    for eid in sol.path_eids:
-        blocked |= 1 << eid
-    for u in range(0, g.n, 4):
-        tree_h = dijkstra(aux.graph, u)
-        tree_g = dijkstra(g, u, blocked=blocked)
-        for v in range(g.n):
-            got = tree_h.dist[v]
-            want = tree_g.dist[v]
-            if want is None:
-                # may only be reachable through terminals, which costs >= 2N
-                assert got is None or got.base >= 2 * aux.n_big
-            else:
-                assert got == want
+    padded = pad_to_power_of_two(g_mid, 0, g_mid.n - 1)
+    assert padded.pad > 0
+    cases = {"unpadded": (g_mid, 0, g_mid.n - 1),
+             "padded": (padded.graph, padded.s, padded.t),
+             "cut": (_cut_by_path(), 0, 3)}
+    matrices = {}
+    for name, (g, s, t) in cases.items():
+        sol = Frp2Solver(g, s, t)
+        aux = sol.aux
+        pv, pe = sol.path_verts, sol.path_eids
+        for u in range(0, g.n, 4):
+            tree_h = dijkstra(aux.graph, u)
+            want_row = all_dists_avoiding(g, u, pe)
+            for v in range(g.n):
+                got = tree_h.dist[v]
+                want = want_row[v]
+                if want is None:
+                    # may only be reachable through terminals, which costs >= 2N
+                    assert got is None or got.base >= 2 * aux.n_big
+                else:
+                    assert got == want
+        # the off-path matrix read off H is G - pi(s, t) between path vertices
+        m = OffPathMatrix(aux)
+        for i, u in enumerate(pv):
+            want_row = all_dists_avoiding(g, u, pe)
+            for j, v in enumerate(pv):
+                assert m.d(i, j) == want_row[v], (i, j)
+                if want_row[v] is not None:
+                    assert m.path(i, j) == path_avoiding(g, u, v, pe), (i, j)
+        matrices[name] = (pv, m)
+    # the padding chain lies on pi(s, t), so G - pi(s, t) isolates it
+    pv, m = matrices["padded"]
+    assert pv == padded.path_verts
+    for i in range(padded.pad):
+        assert [m.d(i, j) is not None for j in range(len(pv))] == \
+            [j == i for j in range(len(pv))]
+    pv, m = matrices["cut"]
+    assert pv == [0, 1, 2, 3]
+    assert m.d(0, 2) is None and m.d(1, 3) is not None
 
 
 def test_required_pair_stream_matches_oracle_n25():
@@ -116,18 +146,6 @@ def test_both_on_path_all_pairs_oracle():
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got == want.base
-
-
-def test_both_on_stream_function():
-    from faultpath.families import detour_rich
-    from faultpath.frp2 import frp2_both_on_path
-    g = detour_rich(9, seed=2)
-    got = {}
-    frp2_both_on_path(g, 0, 8, lambda d1, d2, dist: got.__setitem__((d1, d2), dist))
-    assert len(got) == 8 * 7 // 2
-    for (d1, d2), dist in got.items():
-        want = dist_avoiding(g, 0, 8, [d1, d2])
-        assert dist == (None if want is None else want.base)
 
 
 def test_both_on_adjacent_reduces_to_H_value():

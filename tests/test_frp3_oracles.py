@@ -3,7 +3,7 @@ import random
 import pytest
 
 from faultpath.families import detour_rich, random_connected
-from faultpath.frp2 import OffPathMatrix
+from faultpath.frp2 import OffPathMatrix, build_H
 from faultpath.frp3.oracles import (
     DisjointnessViolated, MirrorOracleB, OracleA, OracleB, PathCoords,
     decompose, mirror_coords,
@@ -14,7 +14,7 @@ from faultpath.frp3.partition import pad_to_power_of_two
 def make(n=18, seed=3, family=random_connected):
     g = family(n, seed=seed)
     inst = pad_to_power_of_two(g, 0, n - 1, seed=seed)
-    matrix = OffPathMatrix(inst.graph, inst.path_verts, inst.path_eids)
+    matrix = OffPathMatrix(build_H(inst.graph, inst.path_verts, inst.path_eids))
     coords = PathCoords(inst, matrix)
     oa = OracleA(coords, inst.k)
     ob = OracleB(oa)

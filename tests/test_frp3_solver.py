@@ -3,7 +3,7 @@ import random
 
 from faultpath.families import cycle, detour_rich, fixed_c8_family, path, \
     random_connected
-from faultpath.frp2 import OffPathMatrix
+from faultpath.frp2 import OffPathMatrix, build_H
 from faultpath.frp3.oracles import MirrorOracleB, OracleA, OracleB, PathCoords, \
     mirror_coords
 from faultpath.frp3.partition import pad_to_power_of_two
@@ -14,7 +14,7 @@ from faultpath.reference import dist_avoiding, snake_oracle
 
 def snake_setup(g, seed=0):
     inst = pad_to_power_of_two(g, 0, g.n - 1, seed=seed)
-    matrix = OffPathMatrix(inst.graph, inst.path_verts, inst.path_eids)
+    matrix = OffPathMatrix(build_H(inst.graph, inst.path_verts, inst.path_eids))
     coords = PathCoords(inst, matrix)
     oa = OracleA(coords, inst.k)
     ob = OracleB(oa)

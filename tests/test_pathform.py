@@ -1,11 +1,9 @@
 import random
 
-import pytest
-
 from faultpath.families import path, random_connected
 from faultpath.graph import perturb_and_verify
 from faultpath.pathform import (
-    CandidatePath, NotAPath, diverge_converge, explicit_path,
+    CandidatePath, NotAPath, explicit_path,
     pf_intersects_interval, seg_down, seg_edge, seg_up,
     to_proper_form, transform_avoiding,
 )
@@ -156,49 +154,3 @@ def test_proper_form_faithfulness_one_fault():
                     assert pf.length == sum(
                         (g.edges[e].w for e in rp), start=f.dist(u, u))
 
-
-def test_diverge_converge_sentinel_and_detour():
-    g = path(4, weights=[2, 3, 4])
-    f = forest_of(g)
-    ref = f.path_vertices(0, 3)
-    assert diverge_converge(f, 0, 3, ref) == (3, 0)
-
-    g2 = perturb_and_verify(
-        4, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (1, 3, 10)], seed=1)
-    f2 = forest_of(g2)
-    # detour around the middle edge: 0-1-3-2... construct 0,1,3 path vs pi(0,3)
-    d, c = diverge_converge(f2, 0, 3, [0, 1, 3])
-    assert d == 1 and c == 3
-
-    with pytest.raises(NotAPath):
-        diverge_converge(f2, 0, 3, [0, 2, 3])
-
-
-def test_diverge_converge_matches_scan(g_mid):
-    f = forest_of(g_mid)
-    g = g_mid
-    rng = random.Random(11)
-    done = 0
-    for _ in range(600):
-        u, v = rng.randrange(g.n), rng.randrange(g.n)
-        if u == v or f.hops(u, v) is None or f.hops(u, v) < 2:
-            continue
-        eid = f.edge_at(u, v, rng.randrange(f.hops(u, v)))
-        rp = path_avoiding(g, u, v, [eid])
-        if rp is None:
-            continue
-        verts = [u]
-        for e in rp:
-            verts.append(g.edges[e].other(verts[-1]))
-        d, c = diverge_converge(f, u, v, verts)
-        ref = f.path_vertices(u, v)
-        # position scan oracle
-        k = 0
-        while verts[k + 1] == ref[k + 1]:
-            k += 1
-        k2 = 0
-        while verts[-2 - k2] == ref[-2 - k2]:
-            k2 += 1
-        assert d == verts[k] and c == verts[len(verts) - 1 - k2]
-        done += 1
-    assert done > 100

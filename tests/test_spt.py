@@ -4,10 +4,20 @@ import pytest
 
 from faultpath.families import detour_rich, random_connected
 from faultpath.frp2 import Frp2Solver
-from faultpath.graph import Graph, build_graph
+from faultpath.graph import Graph, perturb_and_verify
 from faultpath.reference import tied
 from faultpath.spt import SptForest, dijkstra, without_tree_edge
 from faultpath.weights import CompositeWeight as W
+
+
+def _without(g, eid):
+    """``g`` rebuilt without edge ``eid``; every other edge keeps its id and
+    its place in the adjacency lists."""
+    h = Graph(g.n)
+    for e in g.edges.values():
+        if e.eid != eid:
+            h.add_edge(e.u, e.v, e.w, eid=e.eid)
+    return h
 
 
 def brute_lca(tree, a, b):
@@ -83,7 +93,7 @@ def _bridged():
     # a 4-cycle joined by the bridge 3-4 to a triangle with a pendant vertex
     edges = [(0, 1, 2), (1, 2, 3), (2, 3, 2), (3, 0, 4), (3, 4, 5),
              (4, 5, 1), (5, 6, 2), (6, 4, 2), (6, 7, 3)]
-    return build_graph(8, edges, seed=0)
+    return perturb_and_verify(8, edges, seed=0)
 
 
 @pytest.mark.parametrize("make", [
@@ -102,7 +112,7 @@ def test_without_tree_edge_matches_full_run(make):
                 continue
             eid = tree.parent_edge[v]
             got = without_tree_edge(g, tree, eid)
-            want = dijkstra(g, s, blocked=1 << eid)
+            want = dijkstra(_without(g, eid), s)
             for z in range(g.n):
                 assert got.dist[z] == want.dist[z]
                 assert got.parent[z] == want.parent[z]
@@ -170,9 +180,8 @@ def test_tied_flag_matches_reference(make):
         tree = dijkstra(g, s)
         assert tree.tied == tied(g, s)
         for eid in g.edges:
-            mask = 1 << eid
-            want = tied(g, s, mask)
-            assert dijkstra(g, s, blocked=mask).tied == want
+            want = tied(g, s, 1 << eid)
+            assert dijkstra(_without(g, eid), s).tied == want
             # exact from an untied tree; a tied tree stays tied
             assert without_tree_edge(g, tree, eid).tied == (tree.tied or want)
 
