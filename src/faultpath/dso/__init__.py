@@ -1,5 +1,5 @@
-from .static import IncrementalDso, IntervalNotOnPath
-from .incremental import DuplicateEdge, TieDetected, insert_edge
+from .static import IncrementalDso, IntervalNotOnPath, TieDetected
+from .incremental import DuplicateEdge, insert_edge
 from .offline import DeletionSweep, OfflineDso, Timeline, build_timeline
 
 __all__ = [

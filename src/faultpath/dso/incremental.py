@@ -40,15 +40,11 @@ from ..pathform import CandidatePath, ProperForm, seg_down, seg_edge, seg_up, \
     to_proper_form, pf_intersects_interval, pf_segments
 from ..spt import ShortestPathTree, SptForest, dijkstra
 from ..weights import CompositeWeight as W, ZERO
-from .static import IncrementalDso, _pf_min, anchors
+from .static import IncrementalDso, TieDetected, _pf_min, anchors
 
 
 class DuplicateEdge(ValueError):
     """The endpoints are already joined by an edge."""
-
-
-class TieDetected(RuntimeError):
-    """The inserted weight broke the unique shortest path property."""
 
 
 class CaseUnmatched(AssertionError):

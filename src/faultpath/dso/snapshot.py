@@ -6,16 +6,16 @@ kept sparse), then the interval table.  Trees and LCA structures are
 rebuilt on load.  Every pair must be connected with u < v < n, every entry
 key must be one of the pair's anchors, every entry's vertices must lie in
 range and its bridge must be an edge of the loaded graph joining them; the
-entry's length is then re-derived and checked against the dump.  The
-format is documented here and versioned; stability across package versions
-is not guaranteed.
+entry's length is then re-derived and checked against the dump, and the
+entry must avoid its own interval.  The format is documented here and
+versioned; stability across package versions is not guaranteed.
 """
 from __future__ import annotations
 
 import struct
 
 from ..graph import Graph, TieSource
-from ..pathform import ProperForm
+from ..pathform import ProperForm, pf_intersects_interval
 from ..spt import SptForest
 from ..weights import CompositeWeight as W
 from .static import IncrementalDso, anchors
@@ -78,7 +78,8 @@ def _parse(data: bytes, seed: int) -> IncrementalDso:
         off += 12
         if not u < v < n or forest.dist(u, v) is None:
             raise SnapshotError(f"invalid pair ({u}, {v})")
-        keys = set(anchors(forest.hops(u, v)))
+        h = forest.hops(u, v)
+        keys = set(anchors(h))
         sub = {}
         for _ in range(cnt):
             i, j, kind = struct.unpack_from("<IIB", data, off)
@@ -105,6 +106,9 @@ def _parse(data: bytes, seed: int) -> IncrementalDso:
             length = length + suffix
             if (length.base, length.tie) != (lb, lt):
                 raise SnapshotError(f"corrupt entry for pair ({u}, {v})")
-            sub[(i, j)] = ProperForm(u, x, b, y, v, length)
+            pf = ProperForm(u, x, b, y, v, length)
+            if pf_intersects_interval(pf, forest, u, v, i, h - j):
+                raise SnapshotError(f"entry ({i}, {j}) of pair ({u}, {v}) crosses its interval")
+            sub[(i, j)] = pf
         table[(u, v)] = sub
     return IncrementalDso(g, forest, table, TieSource(seed + 7919))

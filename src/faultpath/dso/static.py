@@ -11,7 +11,9 @@ always weak, which yields the classic edge-failure query.
 The build reads every pair's single-failure detours off the trees of its
 source u in G - e, one per edge e of u's tree that some pair needs.  Each
 such tree comes from ``spt.without_tree_edge``: only the subtree below e is
-searched again, and every other vertex keeps its path from u's tree.
+searched again, and every other vertex keeps its path from u's tree.  Each
+detour is read off its tree as a proper form (the forms Bernstein and
+Karger, SODA 2009, build their oracle from); a tied forest raises TieDetected.
 """
 from __future__ import annotations
 
@@ -20,15 +22,18 @@ from typing import Optional
 
 from ..graph import Graph, TieSource
 from ..pathform import (
-    ProperForm, explicit_path, pf_intersects_interval, pf_path, pf_segments,
-    seg_down, seg_up, to_proper_form, transform_avoiding,
+    ProperForm, pf_intersects_interval, pf_path, pf_segments, seg_down, seg_up,
+    transform_avoiding,
 )
 from ..spt import SptForest, without_tree_edge
-from ..weights import CompositeWeight as W
 
 
 class IntervalNotOnPath(ValueError):
     """Query interval endpoints do not lie on the pair's shortest path."""
+
+
+class TieDetected(RuntimeError):
+    """Some vertex has two shortest paths, so the trees are not unique."""
 
 
 @lru_cache(maxsize=4096)
@@ -55,25 +60,38 @@ def _floor_pow2(x: int) -> int:
     return 1 << (x.bit_length() - 1)
 
 
-def replacement_paths_for_pair(forest: SptForest, u: int, v: int, trees: dict):
-    """Exact detour length and path for each single edge of pi(u, v).
+def replacement_forms(forest: SptForest, u: int, v: int, trees: dict):
+    """Proper form of the exact detour around each edge of pi(u, v), or None.
 
     ``trees`` maps an edge id to the tree of u in G minus that edge; it is
     filled on demand, so the pairs of one source share their G - e trees.
     Each is made by ``without_tree_edge`` from u's tree in ``forest``, which
-    reruns Dijkstra only on the subtree that e cuts off.
+    reruns Dijkstra only on the subtree S that e cuts off: under unique ties,
+    the vertices whose distance changed.  Walking up from v while the parent
+    is in S stops at y, the first vertex of S on the detour.  The prefix to
+    x = parent[y] avoids S, so it is u's tree path; the rest is pi(y, v),
+    which avoids e because pi(u, y) uses it.
     """
     graph = forest.graph
     spt_u = forest.spts[u]
-    out = []
+    du = spt_u.dist
+    out: list[Optional[ProperForm]] = []
     for eid in forest.path_edge_ids(u, v):
         tree = trees.get(eid)
         if tree is None:
             tree = trees[eid] = without_tree_edge(graph, spt_u, eid)
-        if tree.dist[v] is None:
-            out.append((None, None))
-        else:
-            out.append((tree.dist[v], tree.path_edges(v)))
+        length = tree.dist[v]
+        if length is None:
+            out.append(None)
+            continue
+        dist, parent = tree.dist, tree.parent
+        y = v
+        while dist[parent[y]] != du[parent[y]]:
+            y = parent[y]
+        x, bridge = parent[y], tree.parent_edge[y]
+        assert du[x] + graph.edges[bridge].w + forest.dist(y, v) == length, \
+            "single-failure detours are always proper"
+        out.append(ProperForm(u, x, bridge, y, v, length))
     return out
 
 
@@ -101,6 +119,8 @@ class IncrementalDso:
         """``forest`` is graph's all-sources forest when the caller has it."""
         if forest is None:
             forest = SptForest.build(graph)
+        if any(tree.tied for tree in forest.spts):
+            raise TieDetected("the graph has two shortest paths between some pair")
         table: dict = {}
         n = graph.n
         for u in range(n):
@@ -109,7 +129,7 @@ class IncrementalDso:
             for v in range(u + 1, n):
                 if spt_u.dist[v] is None:
                     continue
-                table[(u, v)] = _build_pair(graph, forest, u, v, trees)
+                table[(u, v)] = _pair_entries(forest, u, v, trees)
         return cls(graph, forest, table, TieSource(seed + 7919))
 
     # -- helpers ----------------------------------------------------------
@@ -242,42 +262,20 @@ def _pf_min(a: Optional[ProperForm], b: Optional[ProperForm]) -> Optional[Proper
     return a if a.length <= b.length else b
 
 
-def _build_pair(graph: Graph, forest: SptForest, u: int, v: int, trees: dict) -> dict:
-    h = forest.hops(u, v)
-    path_eids = forest.path_edge_ids(u, v)
-    rp = replacement_paths_for_pair(forest, u, v, trees)
+def _pair_entries(forest: SptForest, u: int, v: int, trees: dict) -> dict:
+    """Anchored entries of (u, v): for each interval, the longest
+    single-failure detour inside it, kept only if it clears the interval."""
+    forms = replacement_forms(forest, u, v, trees)
+    h = len(forms)
     sub: dict[tuple[int, int], Optional[ProperForm]] = {}
     for (i, j) in anchors(h):
-        sub[(i, j)] = _static_entry(graph, forest, u, v, path_eids, rp, i, h - j)
+        inside = forms[i:h - j]
+        if None in inside:
+            # no detour for some failure: nothing can avoid the interval
+            sub[(i, j)] = None
+            continue
+        best = max(inside, key=lambda pf: pf.length)
+        # equal composite lengths must be the same path (verified ties)
+        assert all(pf == best for pf in inside if pf.length == best.length)
+        sub[(i, j)] = None if pf_intersects_interval(best, forest, u, v, i, h - j) else best
     return sub
-
-
-def _static_entry(graph: Graph, forest: SptForest, u: int, v: int,
-                  path_eids: list[int], rp, lo: int, hi: int) -> Optional[ProperForm]:
-    """Entry for interval positions [lo, hi]: longest single-failure detour
-    inside the interval, kept only if it clears the whole interval."""
-    best_len: Optional[W] = None
-    best_k = -1
-    for k in range(lo, hi):
-        length, _ = rp[k]
-        if length is None:
-            # no detour for this failure: nothing can avoid the interval
-            return None
-        if best_len is None or length > best_len:
-            best_len = length
-            best_k = k
-        elif length == best_len:
-            # equal composite lengths must be the same path (verified ties)
-            assert rp[k][1] == rp[best_k][1]
-    eids = rp[best_k][1]
-    interval = set(path_eids[lo:hi])
-    if interval.intersection(eids):
-        return None
-    verts = [u]
-    for eid in eids:
-        verts.append(graph.edges[eid].other(verts[-1]))
-    pf = to_proper_form(explicit_path(graph, verts, eids), forest)
-    assert pf is not None, "single-failure detours are always proper"
-    assert pf.length == best_len
-    assert not pf_intersects_interval(pf, forest, u, v, lo, hi)
-    return pf

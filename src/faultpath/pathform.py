@@ -1,11 +1,11 @@
 """Canonical path decompositions: shortest prefix + bridge edge + shortest suffix.
 
-A candidate path is held as a short list of implicit segments (tree paths,
-single edges, or explicit vertex runs), indexable in O(log) without
-materialising vertices.  ``to_proper_form`` decides in O(polylog) whether a
-candidate can be rewritten as shortest-path / bridge / shortest-path in the
-current graph, and ``transform_avoiding`` additionally rejects candidates
-sharing an edge with a given interval of pi(u, v).
+A candidate path is held as a short list of implicit segments (tree paths
+or single edges), indexable in O(log) without materialising vertices.
+``to_proper_form`` decides in O(polylog) whether a candidate can be
+rewritten as shortest-path / bridge / shortest-path in the current graph,
+and ``transform_avoiding`` additionally rejects candidates sharing an edge
+with a given interval of pi(u, v).
 """
 from __future__ import annotations
 
@@ -59,11 +59,6 @@ def seg_edge(eid: int, frm: int, to: int, w: W):
     return ("e", eid, frm, to, 1, w, frm, to)
 
 
-def seg_explicit(vertices: list[int], eids: list[int], lengths: list[W]):
-    """Explicit run; ``lengths[i]`` is the prefix length up to vertices[i]."""
-    return ("x", vertices, eids, lengths, len(eids), lengths[-1], vertices[0], vertices[-1])
-
-
 class CandidatePath:
     """Concatenation of segments with O(log) indexed access.
 
@@ -114,9 +109,7 @@ class CandidatePath:
         if kind == "u":
             spt, bottom = s[1], s[3]
             return spt.ancestor_at_depth(bottom, spt.depth[bottom] - j)
-        if kind == "e":
-            return s[2] if j == 0 else s[3]
-        return s[1][j]
+        return s[2] if j == 0 else s[3]
 
     def edge(self, i: int) -> int:
         k = self._locate(i)
@@ -131,9 +124,7 @@ class CandidatePath:
             spt, bottom = s[1], s[3]
             node = spt.ancestor_at_depth(bottom, spt.depth[bottom] - j)
             return spt.parent_edge[node]
-        if kind == "e":
-            return s[1]
-        return s[2][j]
+        return s[1]
 
     def probe(self, i: int) -> tuple[int, W]:
         """Vertex i and the composite length of the first i edges."""
@@ -156,22 +147,13 @@ class CandidatePath:
             z = spt.ancestor_at_depth(bottom, spt.depth[bottom] - j)
             db, dz = spt.dist[bottom], spt.dist[z]
             return z, W(base.base + db.base - dz.base, base.tie + db.tie - dz.tie)
-        if kind == "e":
-            return (s[2], base) if j == 0 else (s[3], base + s[5])
-        return s[1][j], base + s[3][j]
+        return (s[2], base) if j == 0 else (s[3], base + s[5])
 
     def vertices(self) -> list[int]:
         return [self.vertex(i) for i in range(self.num_edges + 1)]
 
     def edge_ids(self) -> list[int]:
         return [self.edge(i) for i in range(self.num_edges)]
-
-
-def explicit_path(graph, vertices: list[int], eids: list[int]) -> CandidatePath:
-    lengths = [ZERO]
-    for eid in eids:
-        lengths.append(lengths[-1] + graph.edges[eid].w)
-    return CandidatePath([seg_explicit(vertices, eids, lengths)])
 
 
 def pf_segments(pf: ProperForm, forest: SptForest, start: int):

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .dso.offline import DeletionSweep, build_timeline
 from .dso.static import IncrementalDso
 from .graph import Graph
-from .spt import dijkstra, without_tree_edge
+from .spt import ShortestPathTree, dijkstra, without_tree_edge
 
 
 Sink = Callable[[int, int, int, Optional[int]], None]
@@ -26,14 +26,17 @@ class SsrpStats:
     emitted: int = 0
 
 
-def ssrp2(graph: Graph, s: int, sink: Sink) -> SsrpStats:
+def ssrp2(graph: Graph, s: int, sink: Sink,
+          spt: Optional[ShortestPathTree] = None) -> SsrpStats:
     """Emit (d1, d2, t, distance) for every required triple from source s.
 
     Required triples have d1 on the tree, t in d1's subtree, and d2 on the
     replacement path pi(G - d1)(s, t); each unordered failure pair is emitted
-    once.  Distances are base-channel; None marks disconnection.
+    once.  Distances are base-channel; None marks disconnection.  ``spt`` is
+    the tree of s in ``graph``, with LCA tables, when the caller has it.
     """
-    spt = dijkstra(graph, s, with_lca=True)
+    if spt is None:
+        spt = dijkstra(graph, s, with_lca=True)
     tree_edges = sorted(
         spt.parent_edge[v] for v in range(graph.n)
         if v != s and spt.dist[v] is not None
@@ -79,7 +82,7 @@ class SsrpResolver:
         self.s = s
         self.spt = dijkstra(graph, s, with_lca=True)
         self.table: dict[tuple[int, int, int], Optional[int]] = {}
-        self.stats = ssrp2(graph, s, self._store)
+        self.stats = ssrp2(graph, s, self._store, self.spt)
         self._one_fault: dict[int, list] = {}
 
     def _store(self, d1: int, d2: int, t: int, length: Optional[int]) -> None:

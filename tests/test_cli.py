@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -7,10 +8,11 @@ import tempfile
 
 import pytest
 
+import faultpath
 from faultpath.cli import bench_frp3, main
 from faultpath.dso.snapshot import load_dso
 from faultpath.dso.static import IncrementalDso
-from faultpath.families import path, random_connected
+from faultpath.families import detour_rich, path, random_connected
 from faultpath.graph import dump_graph_text, parse_graph_text
 
 
@@ -52,6 +54,27 @@ def test_frp3_cli_runs(tmp_path):
     for line in out.read_text().splitlines():
         rec = json.loads(line)
         assert rec["case"] in ("1on", "2on", "3on")
+
+
+TRACE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "trace.py")
+
+
+@pytest.mark.parametrize("cmd", [["frp", "--faults", "3", "--t", "5"], ["ssrp2"]],
+                         ids=["frp3", "ssrp2"])
+def test_benchmark_tracer_finds_its_hooks(tmp_path, cmd):
+    # the benchmark's tracer wraps program functions by name and fails on
+    # one it cannot find; this runs it on a small input
+    gpath = write_graph(tmp_path, detour_rich(6, seed=0))
+    trace = tmp_path / "trace.json"
+    src = os.path.join(os.path.dirname(faultpath.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, TRACE, "--trace-out", str(trace), "--", "-m", "faultpath",
+         *cmd, "--graph", gpath, "--s", "0", "--out", str(tmp_path / "out.ndjson")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(trace.read_text())["calls"]["dso.build"] >= 1
 
 
 def test_dso_build_query_snapshot_round_trip(tmp_path, capsys):

@@ -1,9 +1,15 @@
 import pytest
 
-from faultpath.dso.static import IncrementalDso, IntervalNotOnPath, anchors
-from faultpath.families import cycle, path, random_connected
-from faultpath.pathform import pf_intersects_interval
-from faultpath.reference import dist_avoiding, weak_classify
+from faultpath.dso import TieDetected
+from faultpath.dso.static import IncrementalDso, IntervalNotOnPath, anchors, \
+    replacement_forms
+from faultpath.families import cycle, detour_rich, path, random_connected
+from faultpath.frp2 import build_H
+from faultpath.graph import Graph
+from faultpath.pathform import pf_intersects_interval, pf_path
+from faultpath.reference import dist_avoiding, path_avoiding, weak_classify
+from faultpath.spt import SptForest, dijkstra
+from faultpath.weights import CompositeWeight as W
 
 
 def test_anchor_domain_matches_rule():
@@ -166,3 +172,47 @@ def test_stored_entry_hygiene(g_mid):
                 w = w + dso.graph.edges[pf.bridge].w
             w = w + f.dist(pf.y, v)
             assert w == pf.length
+
+
+def _frp2_aux_forest():
+    g = detour_rich(8, seed=0)
+    spt = dijkstra(g, 0)
+    return build_H(g, spt.path_vertices(g.n - 1), spt.path_edges(g.n - 1)).forest
+
+
+@pytest.mark.parametrize("make_forest", [
+    lambda: SptForest.build(random_connected(20, seed=0)),
+    lambda: SptForest.build(detour_rich(12, seed=0)),
+    _frp2_aux_forest,
+], ids=["random20", "detour12", "frp2-H"])
+def test_replacement_forms_match_reference(make_forest):
+    f = make_forest()
+    g = f.graph
+    checked = 0
+    for u in range(g.n):
+        trees: dict = {}
+        for v in range(g.n):
+            if u == v or f.dist(u, v) is None:
+                continue
+            eids = f.path_edge_ids(u, v)
+            forms = replacement_forms(f, u, v, trees)
+            assert len(forms) == len(eids)
+            for eid, pf in zip(eids, forms):
+                want = path_avoiding(g, u, v, [eid])
+                if want is None:
+                    assert pf is None
+                    continue
+                assert pf is not None
+                assert pf_path(pf, f).edge_ids() == want
+                assert pf.length == dist_avoiding(g, u, v, [eid])
+                checked += 1
+    assert checked > 100
+
+
+def test_build_rejects_tied_graph():
+    # a 4-cycle of equal weights: 0 reaches 2 both ways at the same length
+    g = Graph(4)
+    for a in range(4):
+        g.add_edge(a, (a + 1) % 4, W(1, 0))
+    with pytest.raises(TieDetected):
+        IncrementalDso.build(g)

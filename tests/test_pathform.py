@@ -1,9 +1,10 @@
 import random
 
+from conftest import edge_walk
 from faultpath.families import path, random_connected
 from faultpath.graph import perturb_and_verify
 from faultpath.pathform import (
-    CandidatePath, NotAPath, explicit_path,
+    CandidatePath, NotAPath,
     pf_intersects_interval, seg_down, seg_edge, seg_up,
     to_proper_form, transform_avoiding,
 )
@@ -83,7 +84,7 @@ def test_three_piece_concatenation_rejected():
     eids = []
     for a, b in ((0, 1), (1, 2), (2, 3)):
         eids.append(next(e.eid for e in g.edges.values() if {e.u, e.v} == {a, b}))
-    p = explicit_path(g, [0, 1, 2, 3], eids)
+    p = edge_walk(g, 0, eids)
     assert to_proper_form(p, f) is None
 
 
@@ -121,10 +122,7 @@ def test_intersects_interval_matches_edge_sets(g_mid):
         rp = path_avoiding(g, u, v, [f_eid])
         if rp is None:
             continue
-        verts = [u]
-        for eid in rp:
-            verts.append(g.edges[eid].other(verts[-1]))
-        pf = to_proper_form(explicit_path(g, verts, rp), f)
+        pf = to_proper_form(edge_walk(g, u, rp), f)
         assert pf is not None, "1ns-fault replacement paths are always proper"
         got = pf_intersects_interval(pf, f, u, v, pa, pb)
         assert got == bool(iv_eids.intersection(rp))
@@ -146,10 +144,7 @@ def test_proper_form_faithfulness_one_fault():
                     rp = path_avoiding(g, u, v, [eid])
                     if rp is None:
                         continue
-                    verts = [u]
-                    for e in rp:
-                        verts.append(g.edges[e].other(verts[-1]))
-                    pf = to_proper_form(explicit_path(g, verts, rp), f)
+                    pf = to_proper_form(edge_walk(g, u, rp), f)
                     assert pf is not None
                     assert pf.length == sum(
                         (g.edges[e].w for e in rp), start=f.dist(u, u))

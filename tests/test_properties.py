@@ -4,10 +4,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import edge_walk
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import fixed_p12_family, random_connected
 from faultpath.frp2 import frp1_all
-from faultpath.pathform import explicit_path, to_proper_form
+from faultpath.pathform import to_proper_form
 from faultpath.reference import all_dists_avoiding, dist_avoiding, path_avoiding, tied
 from faultpath.spt import SptForest, dijkstra
 
@@ -67,10 +68,7 @@ def test_one_fault_paths_are_proper(g):
         rp = path_avoiding(g, u, v, [eid])
         if rp is None:
             continue
-        verts = [u]
-        for e in rp:
-            verts.append(g.edges[e].other(verts[-1]))
-        assert to_proper_form(explicit_path(g, verts, rp), forest) is not None
+        assert to_proper_form(edge_walk(g, u, rp), forest) is not None
 
 
 def test_interval_avoidance_transfer_exhaustive_n20():

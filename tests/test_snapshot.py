@@ -4,6 +4,7 @@ from faultpath.dso.incremental import insert_edge
 from faultpath.dso.snapshot import SnapshotError, load_dso, save_dso
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import random_connected
+from faultpath.pathform import ProperForm
 from faultpath.reference import dist_avoiding
 
 
@@ -46,4 +47,17 @@ def test_corrupt_length_detected(tmp_path):
     blob[-3] ^= 0xFF
     p.write_bytes(bytes(blob))
     with pytest.raises(SnapshotError):
+        load_dso(str(p))
+
+
+def test_entry_crossing_its_interval_rejected(tmp_path):
+    g = random_connected(12, seed=3)
+    dso = IncrementalDso.build(g, seed=1)
+    # the whole-path entry of (0, 1) replaced by pi(0, 1) itself: the length
+    # re-derives, but the walk uses every edge of the interval it must avoid
+    f = dso.forest
+    dso.table[(0, 1)][(0, 0)] = ProperForm(0, 1, None, 1, 1, f.dist(0, 1))
+    p = tmp_path / "d.dso"
+    save_dso(dso, str(p))
+    with pytest.raises(SnapshotError, match="crosses its interval"):
         load_dso(str(p))
