@@ -23,9 +23,11 @@ Inserting an edge (x, y) of weight w does only the work the edge can change.
 
 Every other pair is classified by whether its shortest path changed, then
 each anchored interval falls into one of a dozen positional cases relative
-to the new edge and the old path's divergence/convergence points; every
-case assembles candidates from old entries, old tree paths, and the new
-edge, all gated through the canonicalising transform against the new graph.
+to the new edge and the old path's divergence/convergence points.  Every
+case builds its candidates one way: a ``join`` of old tree walks
+(``ctx.walk``), expanded old interval entries (``ctx.form``) and the new
+edge (``ctx.edge``), each gated through the canonicalising transform
+against the new graph.
 
 Old values are only read, new values only written (double buffering), so the
 case formulas always see the pre-insertion structure.  Kept trees and
@@ -36,10 +38,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..pathform import CandidatePath, ProperForm, seg_down, seg_edge, seg_up, \
-    to_proper_form, pf_intersects_interval, pf_segments
+from ..pathform import (
+    CandidatePath, ProperForm, join, pf_intersects_interval, pf_segments, seg_edge,
+    segs_length, to_proper_form, transform_avoiding, walk,
+)
 from ..spt import ShortestPathTree, SptForest, dijkstra
-from ..weights import CompositeWeight as W, ZERO
+from ..weights import CompositeWeight as W
 from .static import IncrementalDso, TieDetected, _pf_min, anchors
 
 
@@ -77,84 +81,43 @@ class InsertionContext:
         self._pf_cache: dict = {}
         self._oq_cache: dict = {}
 
-    # -- old-structure interval queries (by vertices, empty allowed) -----
+    # -- candidate parts from the old structure ---------------------------
 
     def old_query(self, uu: int, vv: int, a: int, b: int) -> Optional[ProperForm]:
+        """Old interval entry for the subpath a..b of pi(uu, vv), empty allowed."""
         key = (uu, vv, a, b)
         hit = self._oq_cache.get(key, False)
         if hit is not False:
             return hit
-        f = self.old_forest
-        if f.dist(uu, vv) is None:
-            self._oq_cache[key] = None
-            return None
-        pa = f.path_pos(uu, vv, a)
-        pb = f.path_pos(uu, vv, b)
-        if uu > vv:
-            uu, vv = vv, uu
-            h = f.hops(uu, vv)
-            pa, pb = h - pa, h - pb
-        if pa > pb:
-            pa, pb = pb, pa
-        got = self.dso._query_pos(uu, vv, pa, pb)
+        got = None
+        if self.old_forest.dist(uu, vv) is not None:
+            got = self.dso._query_vertices(uu, vv, a, b)
         self._oq_cache[key] = got
         return got
 
-    def old_uv_segs(self, u: int, v: int):
-        if self.old_forest.dist(u, v) is None:
-            return None
-        return [seg_down(self.old_forest.spts[u], u, v)]
+    def walk(self, a: int, b: int):
+        return walk(self.old_forest, a, b)
 
-    def through_edge_segs(self, u: int, v: int, ex: int, ey: int,
-                          left: Optional[ProperForm] = None,
-                          right: Optional[ProperForm] = None,
-                          left_default: bool = False, right_default: bool = False):
-        """Candidate u -> ex -> (edge) -> ey -> v from old-graph pieces.
+    def form(self, pf: Optional[ProperForm], start: int):
+        return None if pf is None else pf_segments(pf, self.old_forest, start)
 
-        ``left``/``right`` replace the plain old tree paths when given;
-        ``*_default`` selects the plain paths.  Returns None when a needed
-        piece is missing.
-        """
-        segs = []
-        if left_default:
-            if self.old_forest.dist(u, ex) is None:
-                return None
-            if ex != u:
-                segs.append(seg_down(self.old_forest.spts[u], u, ex))
-        else:
-            if left is None:
-                return None
-            segs.extend(pf_segments(left, self.old_forest, u))
-        segs.append(seg_edge(self.eid, ex, ey, self.w))
-        if right_default:
-            if self.old_forest.dist(ey, v) is None:
-                return None
-            if ey != v:
-                segs.append(seg_up(self.old_forest.spts[v], ey, v))
-        else:
-            if right is None:
-                return None
-            segs.extend(pf_segments(right, self.old_forest, ey))
-        return segs
+    def edge(self, ex: int, ey: int):
+        """The inserted edge, traversed ex -> ey."""
+        return [seg_edge(self.eid, ex, ey, self.w)]
 
     # -- the canonicalising gate against the new graph -------------------
 
     def gate(self, segs, u: int, v: int, pa: int, pb: int,
              cache_key=None) -> Optional[ProperForm]:
-        if segs is None:
-            return None
-        if cache_key is not None:
-            hit = self._pf_cache.get(cache_key, False)
-            if hit is not False:
-                pf = hit
-            else:
-                pf = to_proper_form(CandidatePath(segs), self.new_forest)
-                self._pf_cache[cache_key] = pf
-        else:
-            pf = to_proper_form(CandidatePath(segs), self.new_forest)
-        if pf is None:
-            return None
-        if pf_intersects_interval(pf, self.new_forest, u, v, pa, pb):
+        """``transform_avoiding`` against the new graph; with ``cache_key``
+        the proper form of ``segs`` is kept for the next call with that key."""
+        nf = self.new_forest
+        if cache_key is None or segs is None:
+            return transform_avoiding(segs, nf, u, v, pa, pb)
+        pf = self._pf_cache.get(cache_key, False)
+        if pf is False:
+            pf = self._pf_cache[cache_key] = to_proper_form(CandidatePath(segs), nf)
+        if pf is None or pf_intersects_interval(pf, nf, u, v, pa, pb):
             return None
         return pf
 
@@ -238,16 +201,17 @@ def dispatch_changed(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> O
         # the shorter of best and the gated walk; a gated form is as long as
         # its walk and _pf_min keeps best on a tie, so a walk no shorter than
         # best is not gated
-        if segs is None or (best is not None and _walk_length(segs) >= best.length):
+        if segs is None or (best is not None and segs_length(segs) >= best.length):
             return best
         return _pf_min(best, ctx.gate(segs, u, v, pa, pb, cache_key=key))
 
-    old_uv = lambda: t(ctx.old_uv_segs(u, v), key=("uv", u, v))
-    q_uv = lambda a, b: t(_pf_as_segs(ctx, ctx.old_query(u, v, a, b), u))
-    q_left = lambda a, b, best: t(ctx.through_edge_segs(
-        u, v, ex, ey, left=ctx.old_query(u, ex, a, b), right_default=True), best=best)
-    q_right = lambda a, b, best: t(ctx.through_edge_segs(
-        u, v, ex, ey, left_default=True, right=ctx.old_query(ey, v, a, b)), best=best)
+    edge = ctx.edge(ex, ey)
+    old_uv = lambda: t(ctx.walk(u, v), key=("uv", u, v))
+    q_uv = lambda a, b: t(ctx.form(ctx.old_query(u, v, a, b), u))
+    q_left = lambda a, b, best: t(join(
+        ctx.form(ctx.old_query(u, ex, a, b), u), edge, ctx.walk(ey, v)), best=best)
+    q_right = lambda a, b, best: t(join(
+        ctx.walk(u, ex), edge, ctx.form(ctx.old_query(ey, v, a, b), ey)), best=best)
 
     if ra == 1 and rb == 2:
         # CASE 1: divergence and convergence bracket R, the edge inside
@@ -300,50 +264,32 @@ def dispatch_unchanged(ctx: InsertionContext, u: int, v: int, i: int, j: int) ->
     def t(segs, key=None):
         # a gated form is as long as its walk, and _pf_min keeps best on a
         # tie, so a walk no shorter than best cannot change the entry
-        if segs is None or (best is not None and _walk_length(segs) >= best.length):
+        if segs is None or (best is not None and segs_length(segs) >= best.length):
             return None
         return ctx.gate(segs, u, v, pa, pb, cache_key=key)
 
     best = old_pf if survives else None
     if best is None:
-        best = t(_pf_as_segs(ctx, old_pf, u))
+        best = t(ctx.form(old_pf, u))
     for ex, ey, P, Q, p_vtx, q_vtx, floor in orients:
         if best is not None and floor >= best.length:
             continue  # every through-edge candidate is at least the floor
+        edge = ctx.edge(ex, ey)
         if pb <= P:
-            cand = t(ctx.through_edge_segs(
-                u, v, ex, ey, left=ctx.old_query(u, ex, a_v, b_v), right_default=True))
+            cand = t(join(ctx.form(ctx.old_query(u, ex, a_v, b_v), u), edge, ctx.walk(ey, v)))
         elif pa < P <= pb <= Q:
-            cand = t(ctx.through_edge_segs(
-                u, v, ex, ey, left=ctx.old_query(u, ex, a_v, p_vtx), right_default=True))
+            cand = t(join(ctx.form(ctx.old_query(u, ex, a_v, p_vtx), u), edge, ctx.walk(ey, v)))
         elif P <= pa and pb <= Q:
-            cand = t(ctx.through_edge_segs(
-                u, v, ex, ey, left_default=True, right_default=True),
-                key=("uxyv", u, v, ex))
+            cand = t(join(ctx.walk(u, ex), edge, ctx.walk(ey, v)), key=("uxyv", u, v, ex))
         elif P <= pa <= Q < pb:
-            cand = t(ctx.through_edge_segs(
-                u, v, ex, ey, left_default=True, right=ctx.old_query(ey, v, q_vtx, b_v)))
+            cand = t(join(ctx.walk(u, ex), edge, ctx.form(ctx.old_query(ey, v, q_vtx, b_v), ey)))
         elif Q <= pa:
-            cand = t(ctx.through_edge_segs(
-                u, v, ex, ey, left_default=True, right=ctx.old_query(ey, v, a_v, b_v)))
+            cand = t(join(ctx.walk(u, ex), edge, ctx.form(ctx.old_query(ey, v, a_v, b_v), ey)))
         else:
             # a < p <= q < b: a weak interval cannot route through the edge
             cand = None
         best = _pf_min(best, cand)
     return best
-
-
-def _walk_length(segs) -> W:
-    total = ZERO
-    for seg in segs:
-        total = total + seg[5]
-    return total
-
-
-def _pf_as_segs(ctx: InsertionContext, pf: Optional[ProperForm], start: int):
-    if pf is None:
-        return None
-    return pf_segments(pf, ctx.old_forest, start)
 
 
 def _keeps_tree(tree: ShortestPathTree, x: int, y: int, w: W) -> bool:

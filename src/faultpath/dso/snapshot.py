@@ -3,12 +3,13 @@
 Layout (little endian): magic, format version, vertex count, a reserved
 int32 (written as 0, ignored on load), edge count, graph section (edge ids
 kept sparse), then the interval table.  Trees and LCA structures are
-rebuilt on load.  Every pair must be connected with u < v < n, every entry
-key must be one of the pair's anchors, every entry's vertices must lie in
-range and its bridge must be an edge of the loaded graph joining them; the
-entry's length is then re-derived and checked against the dump, and the
-entry must avoid its own interval.  The format is documented here and
-versioned; stability across package versions is not guaranteed.
+rebuilt on load.  The table must hold every connected pair u < v < n once
+and no other pair, and each pair's anchors once each and no other key.
+Every entry's vertices must lie in range and its bridge must be an edge of
+the loaded graph joining them; the entry's length is then re-derived and
+checked against the dump, and the entry must avoid its own interval.  The
+format is documented here and versioned; stability across package versions
+is not guaranteed.
 """
 from __future__ import annotations
 
@@ -78,6 +79,8 @@ def _parse(data: bytes, seed: int) -> IncrementalDso:
         off += 12
         if not u < v < n or forest.dist(u, v) is None:
             raise SnapshotError(f"invalid pair ({u}, {v})")
+        if (u, v) in table:
+            raise SnapshotError(f"pair ({u}, {v}) repeated")
         h = forest.hops(u, v)
         keys = set(anchors(h))
         sub = {}
@@ -86,6 +89,8 @@ def _parse(data: bytes, seed: int) -> IncrementalDso:
             off += 9
             if (i, j) not in keys:
                 raise SnapshotError(f"offsets ({i}, {j}) are no anchor of pair ({u}, {v})")
+            if (i, j) in sub:
+                raise SnapshotError(f"anchor ({i}, {j}) of pair ({u}, {v}) repeated")
             if kind == 0:
                 sub[(i, j)] = None
                 continue
@@ -110,5 +115,11 @@ def _parse(data: bytes, seed: int) -> IncrementalDso:
             if pf_intersects_interval(pf, forest, u, v, i, h - j):
                 raise SnapshotError(f"entry ({i}, {j}) of pair ({u}, {v}) crosses its interval")
             sub[(i, j)] = pf
+        if len(sub) < len(keys):
+            raise SnapshotError(f"pair ({u}, {v}) misses an anchor")
         table[(u, v)] = sub
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in table and forest.dist(u, v) is not None:
+                raise SnapshotError(f"snapshot misses pair ({u}, {v})")
     return IncrementalDso(g, forest, table, TieSource(seed + 7919))

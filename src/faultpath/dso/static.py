@@ -22,8 +22,7 @@ from typing import Optional
 
 from ..graph import Graph, TieSource
 from ..pathform import (
-    ProperForm, pf_intersects_interval, pf_path, pf_segments, seg_down, seg_up,
-    transform_avoiding,
+    ProperForm, join, pf_intersects_interval, pf_path, pf_segments, transform_avoiding, walk,
 )
 from ..spt import SptForest, without_tree_edge
 
@@ -153,6 +152,14 @@ class IncrementalDso:
             raise IntervalNotOnPath(f"no path between {u} and {v}")
         if not (f.on_path(u, v, a) and f.on_path(u, v, b)):
             raise IntervalNotOnPath(f"({a}, {b}) not on pi({u}, {v})")
+        if a == b:
+            raise IntervalNotOnPath("interval holds no edge")
+        return self._query_vertices(u, v, a, b)
+
+    def _query_vertices(self, u: int, v: int, a: int, b: int) -> Optional[ProperForm]:
+        """``_query_pos`` for the subpath a..b of pi(u, v), by its end
+        vertices in either order; a == b is the empty interval."""
+        f = self.forest
         pa = f.path_pos(u, v, a)
         pb = f.path_pos(u, v, b)
         if u > v:
@@ -160,12 +167,16 @@ class IncrementalDso:
             pa, pb = f.hops(u, v) - pa, f.hops(u, v) - pb
         if pa > pb:
             pa, pb = pb, pa
-        if pa == pb:
-            raise IntervalNotOnPath("interval holds no edge")
         return self._query_pos(u, v, pa, pb)
 
     def _query_pos(self, u: int, v: int, pa: int, pb: int) -> Optional[ProperForm]:
-        """Core interval query; u < v, positions measured from u, pa <= pb."""
+        """Core interval query; u < v, positions measured from u, pa <= pb.
+
+        An unanchored interval is pulled back to anchors a2 and b2 on the
+        path.  The candidates are the pair's own wider entry and the entries
+        of (a2, b2), (a2, v) and (u, b2), each stitched to the pair by tree
+        walks and gated; the first of equal lengths wins.
+        """
         f = self.forest
         h = f.hops(u, v)
         if pa == pb:
@@ -177,58 +188,22 @@ class IncrementalDso:
 
         i = 0 if pa == 0 else _floor_pow2(pa)
         j = 0 if jr == 0 else _floor_pow2(jr)
-        spt_u, spt_v = f.spts[u], f.spts[v]
+        spt_u = f.spts[u]
         a2 = spt_u.ancestor_at_depth(v, pa - i)
         b2 = spt_u.ancestor_at_depth(v, pb + j)
 
         best: Optional[ProperForm] = None
-
-        # inner detour between the pulled-back anchors, stitched to the pair
-        e1 = self.entry(a2, b2, i, j)
-        if e1 is not None:
-            segs = []
-            if a2 != u:
-                segs.append(seg_down(spt_u, u, a2))
-            segs.extend(pf_segments(e1, f, a2))
-            if b2 != v:
-                segs.append(seg_up(spt_v, b2, v))
-            best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
-
-        # the pair's own wider anchored interval: already avoids [pa, pb]
-        e2 = self.table[(u, v)].get((i, j))
-        best = _pf_min(best, e2)
-
-        # prefix walk plus suffix-anchored detour of (a2, v)
-        e3 = self.entry(a2, v, i, j)
-        if e3 is not None:
-            segs = []
-            if a2 != u:
-                segs.append(seg_down(spt_u, u, a2))
-            segs.extend(pf_segments(e3, f, a2))
-            best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
-
-        # prefix-anchored detour of (u, b2) plus suffix walk
-        e4 = self.entry(u, b2, i, j)
-        if e4 is not None:
-            segs = list(pf_segments(e4, f, u))
-            if b2 != v:
-                segs.append(seg_up(spt_v, b2, v))
-            best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
-
+        # when a2 == u or b2 == v a pair repeats; its first place counts
+        for p, q in dict.fromkeys(((a2, b2), (u, v), (a2, v), (u, b2))):
+            if (p, q) == (u, v):
+                # the pair's own wider anchored interval: already avoids [pa, pb]
+                best = _pf_min(best, self.table[(u, v)].get((i, j)))
+                continue
+            pf = self.entry(p, q, i, j)
+            if pf is not None:
+                segs = join(walk(f, u, p), pf_segments(pf, f, p), walk(f, q, v))
+                best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
         return best
-
-    def edge_on_pair_path(self, u: int, v: int, eid: int) -> Optional[int]:
-        """Position of edge ``eid`` on pi(u, v), or None if off the path."""
-        f = self.forest
-        e = self.graph.edges[eid]
-        if not (f.on_path(u, v, e.u) and f.on_path(u, v, e.v)):
-            return None
-        p1 = f.path_pos(u, v, e.u)
-        p2 = f.path_pos(u, v, e.v)
-        lo, hi = (p1, p2) if p1 < p2 else (p2, p1)
-        if hi - lo != 1 or f.edge_at(u, v, lo) != eid:
-            return None
-        return lo
 
     def query_edge_failure(self, u: int, v: int, eid: int, want_path: bool = False):
         """Distance (and optionally path) from u to v avoiding one edge.
@@ -238,7 +213,7 @@ class IncrementalDso:
         f = self.forest
         if f.dist(u, v) is None:
             return None, None
-        pos = self.edge_on_pair_path(u, v, eid)
+        pos = f.edge_pos(u, v, eid)
         if pos is None:
             return f.dist(u, v), (f.path_edge_ids(u, v) if want_path else None)
         swap = u > v

@@ -1,7 +1,14 @@
 """Canonical path decompositions: shortest prefix + bridge edge + shortest suffix.
 
-A candidate path is held as a short list of implicit segments (tree paths
-or single edges), indexable in O(log) without materialising vertices.
+A candidate path is held as a short list of implicit segments, indexable in
+O(log) without materialising vertices.  There are two kinds: a tree walk
+``seg_walk(spt, v)``, the path from the tree's source down to v, and a
+single edge ``seg_edge``.  Every candidate is assembled the same way: ``walk``
+gives pi(a, b) read off a's tree, ``pf_segments`` expands a stored proper
+form (walk + bridge + walk, as in Bernstein and Karger, SODA 2009), and
+``join`` concatenates the parts, absorbing a missing one as None.  A walk
+toward a tree's root is read off the tree of its first vertex instead,
+which is the same path on the verified untied forests the oracle uses.
 ``to_proper_form`` decides in O(polylog) whether a candidate can be
 rewritten as shortest-path / bridge / shortest-path in the current graph,
 and ``transform_avoiding`` additionally rejects candidates sharing an edge
@@ -40,23 +47,42 @@ class ProperForm(NamedTuple):
 # ---------------------------------------------------------------------------
 # candidate paths as segment lists
 # ---------------------------------------------------------------------------
+# A segment is (kind, tree or edge id, edge count, length, start, end).
 
-def seg_down(spt, top: int, bottom: int):
-    """Tree path traversed from ancestor ``top`` down to ``bottom``."""
-    ne = spt.depth[bottom] - spt.depth[top]
-    a, b = spt.dist[top], spt.dist[bottom]
-    return ("d", spt, top, bottom, ne, W(b.base - a.base, b.tie - a.tie), top, bottom)
-
-
-def seg_up(spt, bottom: int, top: int):
-    """Tree path traversed from ``bottom`` up to its ancestor ``top``."""
-    ne = spt.depth[bottom] - spt.depth[top]
-    a, b = spt.dist[top], spt.dist[bottom]
-    return ("u", spt, top, bottom, ne, W(b.base - a.base, b.tie - a.tie), bottom, top)
+def seg_walk(spt, v: int):
+    """Tree path from ``spt.source`` down to ``v``."""
+    return ("w", spt, spt.depth[v], spt.dist[v], spt.source, v)
 
 
 def seg_edge(eid: int, frm: int, to: int, w: W):
-    return ("e", eid, frm, to, 1, w, frm, to)
+    return ("e", eid, 1, w, frm, to)
+
+
+def walk(forest: SptForest, a: int, b: int):
+    """Segments of pi(a, b): ``[]`` when a == b, None when b is unreachable.
+
+    The walk is read off a's tree; under unique ties it is the reverse of
+    the path b's tree holds.
+    """
+    if a == b:
+        return []
+    spt = forest.spts[a]
+    return None if spt.dist[b] is None else [seg_walk(spt, b)]
+
+
+def join(*parts):
+    """Concatenated segment lists, or None when some part is None."""
+    if None in parts:
+        return None
+    return [seg for part in parts for seg in part]
+
+
+def segs_length(segs) -> W:
+    """Composite length of a segment list."""
+    total = ZERO
+    for seg in segs:
+        total = total + seg[3]
+    return total
 
 
 class CandidatePath:
@@ -71,25 +97,25 @@ class CandidatePath:
     __slots__ = ("segs", "cum_edges", "cum_len", "num_edges", "length", "start", "end")
 
     def __init__(self, segs):
-        segs = [s for s in segs if s[4] > 0]
+        segs = [s for s in segs if s[2] > 0]
         self.segs = segs
         cum_e = [0]
         cum_l = [ZERO]
         for s in segs:
-            cum_e.append(cum_e[-1] + s[4])
-            cum_l.append(cum_l[-1] + s[5])
+            cum_e.append(cum_e[-1] + s[2])
+            cum_l.append(cum_l[-1] + s[3])
         self.cum_edges = cum_e
         self.cum_len = cum_l
         self.num_edges = cum_e[-1]
         self.length = cum_l[-1]
         if segs:
-            self.start = segs[0][6]
-            self.end = segs[-1][7]
+            self.start = segs[0][4]
+            self.end = segs[-1][5]
             prev_end = self.start
             for s in segs:
-                if s[6] != prev_end:
+                if s[4] != prev_end:
                     raise NotAPath("segments do not chain")
-                prev_end = s[7]
+                prev_end = s[5]
         else:
             self.start = self.end = None  # caller handles empty paths
 
@@ -102,28 +128,16 @@ class CandidatePath:
         k = self._locate(i)
         s = self.segs[k]
         j = i - self.cum_edges[k]
-        kind = s[0]
-        if kind == "d":
-            spt, top, bottom = s[1], s[2], s[3]
-            return spt.ancestor_at_depth(bottom, spt.depth[top] + j)
-        if kind == "u":
-            spt, bottom = s[1], s[3]
-            return spt.ancestor_at_depth(bottom, spt.depth[bottom] - j)
-        return s[2] if j == 0 else s[3]
+        if s[0] == "w":
+            return s[1].ancestor_at_depth(s[5], j)
+        return s[4] if j == 0 else s[5]
 
     def edge(self, i: int) -> int:
         k = self._locate(i)
         s = self.segs[k]
-        j = i - self.cum_edges[k]
-        kind = s[0]
-        if kind == "d":
-            spt, top, bottom = s[1], s[2], s[3]
-            child = spt.ancestor_at_depth(bottom, spt.depth[top] + j + 1)
-            return spt.parent_edge[child]
-        if kind == "u":
-            spt, bottom = s[1], s[3]
-            node = spt.ancestor_at_depth(bottom, spt.depth[bottom] - j)
-            return spt.parent_edge[node]
+        if s[0] == "w":
+            spt = s[1]
+            return spt.parent_edge[spt.ancestor_at_depth(s[5], i - self.cum_edges[k] + 1)]
         return s[1]
 
     def probe(self, i: int) -> tuple[int, W]:
@@ -136,18 +150,11 @@ class CandidatePath:
         s = self.segs[k]
         j = i - self.cum_edges[k]
         base = self.cum_len[k]
-        kind = s[0]
-        if kind == "d":
-            spt, top, bottom = s[1], s[2], s[3]
-            z = spt.ancestor_at_depth(bottom, spt.depth[top] + j)
-            dz, dt = spt.dist[z], spt.dist[top]
-            return z, W(base.base + dz.base - dt.base, base.tie + dz.tie - dt.tie)
-        if kind == "u":
-            spt, bottom = s[1], s[3]
-            z = spt.ancestor_at_depth(bottom, spt.depth[bottom] - j)
-            db, dz = spt.dist[bottom], spt.dist[z]
-            return z, W(base.base + db.base - dz.base, base.tie + db.tie - dz.tie)
-        return (s[2], base) if j == 0 else (s[3], base + s[5])
+        if s[0] == "w":
+            spt = s[1]
+            z = spt.ancestor_at_depth(s[5], j)
+            return z, base + spt.dist[z]
+        return (s[4], base) if j == 0 else (s[5], base + s[3])
 
     def vertices(self) -> list[int]:
         return [self.vertex(i) for i in range(self.num_edges + 1)]
@@ -159,26 +166,15 @@ class CandidatePath:
 def pf_segments(pf: ProperForm, forest: SptForest, start: int):
     """Expand a proper form made against ``forest`` into segments oriented
     to begin at ``start``."""
-    segs = []
     if start == pf.u:
-        if pf.x != pf.u:
-            segs.append(seg_down(forest.spts[pf.u], pf.u, pf.x))
-        if pf.bridge is not None:
-            e = forest.graph.edges[pf.bridge]
-            segs.append(seg_edge(pf.bridge, pf.x, pf.y, e.w))
-        if pf.y != pf.v:
-            segs.append(seg_up(forest.spts[pf.v], pf.y, pf.v))
+        a, x, y, b = pf.u, pf.x, pf.y, pf.v
     elif start == pf.v:
-        if pf.y != pf.v:
-            segs.append(seg_down(forest.spts[pf.v], pf.v, pf.y))
-        if pf.bridge is not None:
-            e = forest.graph.edges[pf.bridge]
-            segs.append(seg_edge(pf.bridge, pf.y, pf.x, e.w))
-        if pf.x != pf.u:
-            segs.append(seg_up(forest.spts[pf.u], pf.x, pf.u))
+        a, x, y, b = pf.v, pf.y, pf.x, pf.u
     else:
         raise ValueError("start must be an endpoint of the proper form")
-    return segs
+    bridge = [] if pf.bridge is None else \
+        [seg_edge(pf.bridge, x, y, forest.graph.edges[pf.bridge].w)]
+    return join(walk(forest, a, x), bridge, walk(forest, y, b))
 
 
 def pf_path(pf: ProperForm, forest: SptForest, start: Optional[int] = None) -> CandidatePath:
@@ -251,15 +247,10 @@ def pf_intersects_interval(pf: ProperForm, forest: SptForest, u: int, v: int,
         # seen from v the interval runs [b_vtx .. a_vtx]
         if spt_v.root_paths_share_edge(pf.y, b_vtx, a_vtx):
             return True
-    if pf.bridge is not None:
-        e = forest.graph.edges[pf.bridge]
-        if forest.on_path(u, v, e.u) and forest.on_path(u, v, e.v):
-            p1 = forest.path_pos(u, v, e.u)
-            p2 = forest.path_pos(u, v, e.v)
-            lo, hi = (p1, p2) if p1 < p2 else (p2, p1)
-            if hi - lo == 1 and lo >= pa and hi <= pb and forest.edge_at(u, v, lo) == pf.bridge:
-                return True
-    return False
+    if pf.bridge is None:
+        return False
+    pos = forest.edge_pos(u, v, pf.bridge)
+    return pos is not None and pa <= pos < pb
 
 
 def transform_avoiding(segs, forest: SptForest, u: int, v: int,

@@ -360,6 +360,16 @@ class SptForest:
         child = self.spts[u].ancestor_at_depth(v, pos + 1)
         return self.spts[u].parent_edge[child]  # type: ignore[return-value]
 
+    def edge_pos(self, u: int, v: int, eid: int) -> Optional[int]:
+        """Position of edge ``eid`` on pi(u, v), or None if off the path."""
+        e = self.graph.edges[eid]
+        if not (self.on_path(u, v, e.u) and self.on_path(u, v, e.v)):
+            return None
+        lo, hi = sorted((self.path_pos(u, v, e.u), self.path_pos(u, v, e.v)))
+        if hi - lo != 1 or self.edge_at(u, v, lo) != eid:
+            return None
+        return lo
+
     def path_vertices(self, u: int, v: int) -> list[int]:
         return self.spts[u].path_vertices(v)
 

@@ -251,6 +251,12 @@ def corrupt_snapshots(data: bytes) -> dict[str, bytes]:
             "bad_bridge": put(entry + 4, 12345)}
 
 
+def without_pairs(data: bytes) -> bytes:
+    """A snapshot's graph with a table of zero pairs."""
+    n_edges = struct.unpack_from("<I", data, 15)[0]
+    return data[:19 + 28 * n_edges] + struct.pack("<I", 0)
+
+
 @pytest.mark.parametrize("code,args", [
     pytest.param(2, ["frp", "--faults", "1", "--graph", "{disc}", "--s", "0", "--t", "3"],
                  id="frp1-disconnected"),
@@ -278,6 +284,8 @@ def corrupt_snapshots(data: bytes) -> dict[str, bytes]:
     pytest.param(3, [*QUERY, "--snapshot", "{bad_x}", "--v", "2"], id="snapshot-entry-x"),
     pytest.param(3, [*QUERY, "--snapshot", "{bad_bridge}", "--v", "2"],
                  id="snapshot-entry-bridge"),
+    pytest.param(3, [*QUERY, "--snapshot", "{no_pairs}", "--v", "2"],
+                 id="snapshot-without-pairs"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     paths = {}
@@ -291,7 +299,9 @@ def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     assert main(["dso", "build", "--graph", paths["tri"], "--out", str(snap)]) == 0
     trunc = tmp_path / "trunc.dso"
     trunc.write_bytes(snap.read_bytes()[:20])
-    paths.update(snap=str(snap), trunc=str(trunc))
+    no_pairs = tmp_path / "no_pairs.dso"
+    no_pairs.write_bytes(without_pairs(snap.read_bytes()))
+    paths.update(snap=str(snap), trunc=str(trunc), no_pairs=str(no_pairs))
     cyc = tmp_path / "cyc4.dso"
     assert main(["dso", "build", "--graph", paths["cyc4"], "--out", str(cyc)]) == 0
     for name, data in corrupt_snapshots(cyc.read_bytes()).items():

@@ -3,10 +3,11 @@ import random
 from conftest import edge_walk
 from faultpath.families import path, random_connected
 from faultpath.graph import perturb_and_verify
+from faultpath.dso.static import IncrementalDso
 from faultpath.pathform import (
     CandidatePath, NotAPath,
-    pf_intersects_interval, seg_down, seg_edge, seg_up,
-    to_proper_form, transform_avoiding,
+    pf_intersects_interval, pf_path, seg_edge, seg_walk,
+    to_proper_form, transform_avoiding, walk,
 )
 from faultpath.reference import path_avoiding
 from faultpath.spt import SptForest
@@ -19,22 +20,22 @@ def forest_of(g):
 def test_candidate_path_indexing(g_small):
     f = forest_of(g_small)
     for v in range(1, g_small.n):
-        segs = [seg_down(f.spts[0], 0, v)]
+        segs = [seg_walk(f.spts[0], v)]
         p = CandidatePath(segs)
         assert p.vertices() == f.path_vertices(0, v)
         assert p.edge_ids() == f.path_edge_ids(0, v)
         assert p.length == f.dist(0, v)
         for i in range(p.num_edges + 1):
             assert p.probe(i)[1] == f.dist(0, p.vertex(i))
-        # reversed traversal
-        pr = CandidatePath([seg_up(f.spts[0], v, 0)])
+        # reversed traversal, read off the tree of v
+        pr = CandidatePath([seg_walk(f.spts[v], 0)])
         assert pr.vertices() == list(reversed(p.vertices()))
         assert pr.length == p.length
 
 
 def test_to_proper_form_shortest_path_is_degenerate(g_small):
     f = forest_of(g_small)
-    p = CandidatePath([seg_down(f.spts[2], 2, 9)])
+    p = CandidatePath([seg_walk(f.spts[2], 9)])
     pf = to_proper_form(p, f)
     assert pf is not None and pf.bridge is None and pf.x == 9
     assert pf.length == f.dist(2, 9)
@@ -51,10 +52,10 @@ def test_to_proper_form_recovers_bridge_decomposition(g_mid):
                 continue
             segs = []
             if e.u != u:
-                segs.append(seg_down(f.spts[u], u, e.u))
+                segs.append(seg_walk(f.spts[u], e.u))
             segs.append(seg_edge(e.eid, e.u, e.v, e.w))
             if e.v != v:
-                segs.append(seg_up(f.spts[v], e.v, v))
+                segs.append(seg_walk(f.spts[e.v], v))
             try:
                 p = CandidatePath(segs)
             except NotAPath:
@@ -68,6 +69,40 @@ def test_to_proper_form_recovers_bridge_decomposition(g_mid):
             assert pf.length <= p.length
             assert pf.u == u and pf.v == v
     assert hits > 10
+
+
+def test_walk_reversed_is_the_reverse_path(g_small):
+    f = forest_of(g_small)
+    for a in range(g_small.n):
+        assert walk(f, a, a) == []
+        for b in range(a + 1, g_small.n):
+            ab, ba = CandidatePath(walk(f, a, b)), CandidatePath(walk(f, b, a))
+            assert ba.vertices() == ab.vertices()[::-1]
+            assert ba.edge_ids() == ab.edge_ids()[::-1]
+            assert ba.length == ab.length == f.dist(a, b)
+
+
+def test_walk_to_unreachable_vertex_is_none():
+    g = perturb_and_verify(4, [(0, 1, 3), (2, 3, 4)], seed=1)
+    f = forest_of(g)
+    assert walk(f, 0, 2) is None
+    assert walk(f, 0, 1) is not None
+
+
+def test_pf_path_from_v_reverses_pf_path_from_u(g_mid):
+    dso = IncrementalDso.build(g_mid)
+    f = dso.forest
+    checked = 0
+    for sub in dso.table.values():
+        for pf in sub.values():
+            if pf is None:
+                continue
+            fwd, back = pf_path(pf, f, pf.u), pf_path(pf, f, pf.v)
+            assert back.vertices() == fwd.vertices()[::-1]
+            assert back.edge_ids() == fwd.edge_ids()[::-1]
+            assert back.length == fwd.length == pf.length
+            checked += 1
+    assert checked > 100
 
 
 def test_three_piece_concatenation_rejected():
@@ -96,7 +131,7 @@ def test_transform_null_absorbing(g_small):
 def test_transform_rejects_interval_overlap():
     g = path(5, weights=[2, 3, 4, 5])
     f = forest_of(g)
-    p = CandidatePath([seg_down(f.spts[0], 0, 4)])
+    p = CandidatePath([seg_walk(f.spts[0], 4)])
     # pi(0,4) itself must be rejected against any of its own intervals
     assert transform_avoiding(p.segs, f, 0, 4, 1, 2) is None
     assert transform_avoiding(p.segs, f, 0, 4, 0, 4) is None

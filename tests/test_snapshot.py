@@ -61,3 +61,51 @@ def test_entry_crossing_its_interval_rejected(tmp_path):
     save_dso(dso, str(p))
     with pytest.raises(SnapshotError, match="crosses its interval"):
         load_dso(str(p))
+
+
+class _Rows(list):
+    """A table or sub-table that ``save_dso`` writes with repeated keys."""
+
+    def items(self):
+        return iter(self)
+
+
+def _saved(tmp_path, dso):
+    p = tmp_path / "d.dso"
+    save_dso(dso, str(p))
+    return str(p)
+
+
+def test_missing_anchor_rejected(tmp_path):
+    g = random_connected(12, seed=3)
+    dso = IncrementalDso.build(g, seed=1)
+    # without the check this loads and answers None where the truth is 55
+    del dso.table[(0, 1)][(0, 0)]
+    with pytest.raises(SnapshotError, match=r"pair \(0, 1\) misses an anchor"):
+        load_dso(_saved(tmp_path, dso))
+
+
+def test_missing_pair_rejected(tmp_path):
+    g = random_connected(12, seed=3)
+    dso = IncrementalDso.build(g, seed=1)
+    del dso.table[(0, 1)]
+    with pytest.raises(SnapshotError, match=r"misses pair \(0, 1\)"):
+        load_dso(_saved(tmp_path, dso))
+
+
+def test_repeated_pair_rejected(tmp_path):
+    g = random_connected(12, seed=3)
+    dso = IncrementalDso.build(g, seed=1)
+    rows = list(dso.table.items())
+    dso.table = _Rows(rows + rows[:1])
+    with pytest.raises(SnapshotError, match="repeated"):
+        load_dso(_saved(tmp_path, dso))
+
+
+def test_repeated_anchor_rejected(tmp_path):
+    g = random_connected(12, seed=3)
+    dso = IncrementalDso.build(g, seed=1)
+    entries = list(dso.table[(0, 1)].items())
+    dso.table[(0, 1)] = _Rows(entries + entries[:1])
+    with pytest.raises(SnapshotError, match=r"anchor \(0, 0\) of pair \(0, 1\) repeated"):
+        load_dso(_saved(tmp_path, dso))

@@ -200,3 +200,19 @@ def test_tied_flag_cases():
     flags = {dijkstra(_degenerate(n, seed), s).tied
              for n, seed in ((9, 1), (12, 2), (14, 3)) for s in range(n)}
     assert flags == {False, True}
+
+
+def test_edge_pos_matches_path_edge_list():
+    g = random_connected(20, seed=0)
+    f = SptForest.build(g)
+    on_path = 0
+    for u in range(g.n):
+        for v in range(g.n):
+            if f.dist(u, v) is None:
+                continue
+            ids = f.path_edge_ids(u, v)
+            for eid in g.edges:
+                want = ids.index(eid) if eid in ids else None
+                assert f.edge_pos(u, v, eid) == want
+                on_path += want is not None
+    assert on_path > 1000
