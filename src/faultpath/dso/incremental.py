@@ -18,19 +18,33 @@ Inserting an edge (x, y) of weight w does only the work the edge can change.
   prefix plus the rest of the entry would be a walk through the edge that
   beats the entry, hence the floor; the suffix likewise.  So every entry
   still names the same path, and a non-weak interval cannot become weak.
-  On such a pair the case analysis below would return every old entry
+  On such a pair the covering rule below would return every old entry
   object unchanged.
+- Entries.  Every other pair is recomputed one anchored interval
+  R = [pa, pb] of its new path pi'(u, v) at a time (``pair_entry``), from
+  routes through old tree paths.  A pair whose distance is unchanged keeps
+  its path; its old entry is a candidate, and its routes are the two
+  orientations (ex, ey) of the new edge: old pi(u, ex), the edge, old
+  pi(ey, v).  A pair whose distance fell now runs through the edge; its
+  routes are its old pi(u, v), if any, and that one orientation.
 
-Every other pair is classified by whether its shortest path changed, then
-each anchored interval falls into one of a dozen positional cases relative
-to the new edge and the old path's divergence/convergence points.  Every
-case builds its candidates one way: a ``join`` of old tree walks
-(``ctx.walk``), expanded old interval entries (``ctx.form``) and the new
-edge (``ctx.edge``), each gated through the canonicalising transform
-against the new graph.
+The covering rule.  A route's old path shares a prefix [0, P] and a suffix
+[Q, h] of pi'(u, v), either possibly empty; p and q are the vertices where
+it leaves and rejoins.  A path that shares no edge with R is taken as its
+plain walk.  Otherwise the old table is asked for the shortest subpath of
+it that covers its edges in R: a..min(b, p) when R meets only the prefix,
+max(a, q)..b when only the suffix, a..b when both.  An orientation is
+skipped when R meets both of its sides, since no one old entry covers two
+paths, or holds the new edge.  The subpath starts and ends at R's shared
+edges: when a moved pair has pa == P, R meets the old pi(u, v) only on its
+suffix, so the entry read is old [q..b].  An entry for old [p..b] would
+also avoid the old middle [p..q], and on a weak interval it can be null or
+too long.  Each candidate is a ``join`` of these parts and the new edge,
+gated through the canonicalising transform against the new graph; the
+shortest wins, the first of equal lengths.
 
 Old values are only read, new values only written (double buffering), so the
-case formulas always see the pre-insertion structure.  Kept trees and
+covering rule always sees the pre-insertion structure.  Kept trees and
 reused sub-tables are shared between the old and the new structure and are
 never mutated.
 """
@@ -40,19 +54,15 @@ from typing import Optional
 
 from ..pathform import (
     CandidatePath, ProperForm, join, pf_intersects_interval, pf_segments, seg_edge,
-    segs_length, to_proper_form, transform_avoiding, walk,
+    to_proper_form, transform_avoiding, walk,
 )
 from ..spt import ShortestPathTree, SptForest, dijkstra
 from ..weights import CompositeWeight as W
-from .static import IncrementalDso, TieDetected, _pf_min, anchors
+from .static import IncrementalDso, TieDetected, _pf_min_gated, anchors
 
 
 class DuplicateEdge(ValueError):
     """The endpoints are already joined by an edge."""
-
-
-class CaseUnmatched(AssertionError):
-    """Defensive: the positional case analysis failed to match."""
 
 
 class InsertionContext:
@@ -95,8 +105,12 @@ class InsertionContext:
         self._oq_cache[key] = got
         return got
 
-    def walk(self, a: int, b: int):
-        return walk(self.old_forest, a, b)
+    def leg(self, s: int, t: int, lo: int, hi: int, met: bool):
+        """Old pi(s, t) from s, or, when the interval ``met`` it, the old
+        entry for its subpath lo..hi."""
+        if not met:
+            return walk(self.old_forest, s, t)
+        return self.form(self.old_query(s, t, lo, hi), s)
 
     def form(self, pf: Optional[ProperForm], start: int):
         return None if pf is None else pf_segments(pf, self.old_forest, start)
@@ -137,45 +151,43 @@ class InsertionContext:
         return info
 
     def _build_pair_info(self, u: int, v: int):
+        """(X, routes): X is the new edge's position on the new pi(u, v), None
+        when the path did not change; each route is (ex, ey, P, Q, p, q,
+        floor), ex None for the old pi(u, v)."""
         of, nf = self.old_forest, self.new_forest
         d_old = of.dist(u, v)
         d_new = nf.dist(u, v)
-        changed = d_old != d_new
-        if not changed:
-            # per-orientation divergence/convergence of the old trees, plus
-            # the unconstrained through-edge length as a pruning floor
-            orients = []
+        routes = []
+        if d_old == d_new:
+            # one route per reachable orientation, with the unconstrained
+            # through-edge length as a pruning floor
             h = of.hops(u, v)
             for ex, ey in ((self.x, self.y), (self.y, self.x)):
-                due = of.dist(u, ex)
-                dev = of.dist(ey, v)
-                if due is None or dev is None:
+                floor = _opt_add3(of.dist(u, ex), self.w, of.dist(ey, v))
+                if floor is None:
                     continue
                 p = of.spts[u].lca(ex, v)
                 q = of.spts[v].lca(ey, u)
-                floor = due + self.w + dev
-                orients.append((ex, ey, of.spts[u].depth[p], h - of.spts[v].depth[q],
-                                p, q, floor))
-            return ("same", orients)
+                routes.append((ex, ey, of.spts[u].depth[p], h - of.spts[v].depth[q],
+                               p, q, floor))
+            return None, routes
         # the new path runs through the inserted edge; find its orientation
         via_x = _opt_add3(of.dist(u, self.x), self.w, of.dist(self.y, v))
-        via_y = _opt_add3(of.dist(u, self.y), self.w, of.dist(self.x, v))
         if via_x is not None and via_x == d_new:
             ex, ey = self.x, self.y
         else:
-            assert via_y == d_new, "changed pair must route through the new edge"
+            assert _opt_add3(of.dist(u, self.y), self.w, of.dist(self.x, v)) == d_new, \
+                "changed pair must route through the new edge"
             ex, ey = self.y, self.x
-        h2 = nf.hops(u, v)
-        pos_x = nf.spts[u].depth[ex]
-        if d_old is None:
-            p_pos, q_pos = 0, h2
-            p_vtx, q_vtx = u, v
-        else:
-            p_vtx = of.spts[u].lca(v, ex)
-            q_vtx = of.spts[v].lca(u, ey)
-            p_pos = nf.spts[u].depth[p_vtx]
-            q_pos = h2 - nf.spts[v].depth[q_vtx]
-        return ("moved", ex, ey, pos_x, p_pos, q_pos, p_vtx, q_vtx)
+        X = nf.spts[u].depth[ex]
+        if d_old is not None:
+            # the old path leaves the new one at p and rejoins it at q
+            p = of.spts[u].lca(v, ex)
+            q = of.spts[v].lca(u, ey)
+            routes.append((None, None, nf.spts[u].depth[p], nf.hops(u, v) - nf.spts[v].depth[q],
+                           p, q, d_old))
+        routes.append((ex, ey, X, X + 1, ex, ey, d_new))
+        return X, routes
 
 
 def _opt_add3(a: Optional[W], w: W, b: Optional[W]) -> Optional[W]:
@@ -184,111 +196,38 @@ def _opt_add3(a: Optional[W], w: W, b: Optional[W]) -> Optional[W]:
     return a + w + b
 
 
-def dispatch_changed(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> Optional[ProperForm]:
-    """New entry for a pair whose shortest path moved onto the new edge."""
-    info = ctx.pair_info(u, v)
-    _, ex, ey, pos_x, P, Q, p_vtx, q_vtx = info
+def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> Optional[ProperForm]:
+    """New entry (i, j) of pair (u, v) by the covering rule (module docstring)."""
+    X, routes = ctx.pair_info(u, v)
     nf = ctx.new_forest
-    h2 = nf.hops(u, v)
-    pa, pb = i, h2 - j
-    a_v = nf.vertex_at(u, v, pa)
-    b_v = nf.vertex_at(u, v, pb)
-    X = pos_x
-    ra = 0 if pa <= P else (1 if pa <= X else (2 if pa <= Q else 3))
-    rb = 0 if pb <= P else (1 if pb <= X else (2 if pb <= Q else 3))
-
-    def t(segs, key=None, best=None):
-        # the shorter of best and the gated walk; a gated form is as long as
-        # its walk and _pf_min keeps best on a tie, so a walk no shorter than
-        # best is not gated
-        if segs is None or (best is not None and segs_length(segs) >= best.length):
-            return best
-        return _pf_min(best, ctx.gate(segs, u, v, pa, pb, cache_key=key))
-
-    edge = ctx.edge(ex, ey)
-    old_uv = lambda: t(ctx.walk(u, v), key=("uv", u, v))
-    q_uv = lambda a, b: t(ctx.form(ctx.old_query(u, v, a, b), u))
-    q_left = lambda a, b, best: t(join(
-        ctx.form(ctx.old_query(u, ex, a, b), u), edge, ctx.walk(ey, v)), best=best)
-    q_right = lambda a, b, best: t(join(
-        ctx.walk(u, ex), edge, ctx.form(ctx.old_query(ey, v, a, b), ey)), best=best)
-
-    if ra == 1 and rb == 2:
-        # CASE 1: divergence and convergence bracket R, the edge inside
-        return old_uv()
-    if ra == 0 and rb == 0:
-        # CASE 2: R on the shared prefix before the divergence point
-        return q_left(a_v, b_v, q_uv(a_v, b_v))
-    if ra == 3 and rb == 3:
-        # CASE 2 mirrored: R on the shared suffix after the convergence
-        return q_right(a_v, b_v, q_uv(a_v, b_v))
-    if ra == 2 and rb == 2:
-        # CASE 3: R between the edge and the convergence point
-        return q_right(a_v, b_v, old_uv())
-    if ra == 1 and rb == 1:
-        # CASE 3 mirrored: R between the divergence point and the edge
-        return q_left(a_v, b_v, old_uv())
-    if ra == 1 and rb == 3:
-        # CASE 4: a inside [p, x], b beyond q
-        return q_uv(q_vtx, b_v)
-    if ra == 0 and rb == 2:
-        # CASE 4 mirrored
-        return q_uv(a_v, p_vtx)
-    if ra == 2 and rb == 3:
-        # CASE 5: a in [y, q], b beyond q
-        return q_right(a_v, b_v, q_uv(q_vtx, b_v))
-    if ra == 0 and rb == 1:
-        # CASE 5 mirrored
-        return q_left(a_v, b_v, q_uv(a_v, p_vtx))
-    if ra == 0 and rb == 3:
-        # CASE 6: R spans both divergence and convergence
-        return q_uv(a_v, b_v)
-    raise CaseUnmatched(f"pair ({u},{v}) interval ({i},{j}): ra={ra} rb={rb}")
-
-
-def dispatch_unchanged(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> Optional[ProperForm]:
-    """New entry for a pair whose shortest path is untouched by the edge."""
-    orients = ctx.pair_info(u, v)[1]
-    old_pf = ctx.old_table[(u, v)].get((i, j))
-    # endpoints kept their distances, so the stored decomposition is the
-    # same pair of tree paths and still clears the same interval
-    survives = old_pf is not None and ctx.pf_survives(old_pf)
-    if survives and all(floor >= old_pf.length for *_, floor in orients):
-        return old_pf  # no through-edge candidate is shorter than its floor
-    nf = ctx.new_forest
-    h = nf.hops(u, v)
-    pa, pb = i, h - j
-    a_v = nf.vertex_at(u, v, pa)
-    b_v = nf.vertex_at(u, v, pb)
-
-    def t(segs, key=None):
-        # a gated form is as long as its walk, and _pf_min keeps best on a
-        # tie, so a walk no shorter than best cannot change the entry
-        if segs is None or (best is not None and segs_length(segs) >= best.length):
-            return None
-        return ctx.gate(segs, u, v, pa, pb, cache_key=key)
-
-    best = old_pf if survives else None
-    if best is None:
-        best = t(ctx.form(old_pf, u))
-    for ex, ey, P, Q, p_vtx, q_vtx, floor in orients:
+    pa, pb = i, nf.hops(u, v) - j
+    best = None
+    if X is None:
+        old_pf = ctx.old_table[(u, v)].get((i, j))
+        # endpoints kept their distances, so the stored decomposition is the
+        # same pair of tree paths and still clears the same interval
+        if old_pf is not None and ctx.pf_survives(old_pf):
+            if all(floor >= old_pf.length for *_, floor in routes):
+                return old_pf  # no route's floor is below the stored entry
+            best = old_pf
+        elif old_pf is not None:
+            best = ctx.gate(ctx.form(old_pf, u), u, v, pa, pb)
+    a = nf.vertex_at(u, v, pa)
+    b = nf.vertex_at(u, v, pb)
+    for ex, ey, P, Q, p, q, floor in routes:
         if best is not None and floor >= best.length:
-            continue  # every through-edge candidate is at least the floor
-        edge = ctx.edge(ex, ey)
-        if pb <= P:
-            cand = t(join(ctx.form(ctx.old_query(u, ex, a_v, b_v), u), edge, ctx.walk(ey, v)))
-        elif pa < P <= pb <= Q:
-            cand = t(join(ctx.form(ctx.old_query(u, ex, a_v, p_vtx), u), edge, ctx.walk(ey, v)))
-        elif P <= pa and pb <= Q:
-            cand = t(join(ctx.walk(u, ex), edge, ctx.walk(ey, v)), key=("uxyv", u, v, ex))
-        elif P <= pa <= Q < pb:
-            cand = t(join(ctx.walk(u, ex), edge, ctx.form(ctx.old_query(ey, v, q_vtx, b_v), ey)))
-        elif Q <= pa:
-            cand = t(join(ctx.walk(u, ex), edge, ctx.form(ctx.old_query(ey, v, a_v, b_v), ey)))
+            continue  # every candidate of the route is at least its floor
+        pre, suf = pa < P, pb > Q  # R shares an edge with the shared prefix / suffix
+        lo = a if pre or pa >= Q else q
+        hi = b if suf or pb <= P else p
+        if ex is None:
+            segs = ctx.leg(u, v, lo, hi, pre or suf)
+        elif (pre and suf) or (X is not None and pa <= X < pb):
+            continue  # no one old entry covers both sides, none covers the edge
         else:
-            # a < p <= q < b: a weak interval cannot route through the edge
-            cand = None
-        best = _pf_min(best, cand)
+            segs = join(ctx.leg(u, ex, lo, hi, pre), ctx.edge(ex, ey), ctx.leg(ey, v, lo, hi, suf))
+        key = None if pre or suf else (u, v, ex)
+        best = _pf_min_gated(best, segs, ctx.gate, u, v, pa, pb, key)
     return best
 
 
@@ -357,13 +296,8 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
             if _reuses_pair(ctx, u, v):
                 new_table[(u, v)] = ctx.old_table[(u, v)]
                 continue
-            h2 = spt_u.depth[v]
-            sub = {}
-            moved = ctx.pair_info(u, v)[0] == "moved"
-            fn = dispatch_changed if moved else dispatch_unchanged
-            for (i, j) in anchors(h2):
-                sub[(i, j)] = fn(ctx, u, v, i, j)
-            new_table[(u, v)] = sub
+            new_table[(u, v)] = {(i, j): pair_entry(ctx, u, v, i, j)
+                                 for (i, j) in anchors(spt_u.depth[v])}
 
     dso.graph = g2
     dso.forest = new_forest

@@ -22,7 +22,8 @@ from typing import Optional
 
 from ..graph import Graph, TieSource
 from ..pathform import (
-    ProperForm, join, pf_intersects_interval, pf_path, pf_segments, transform_avoiding, walk,
+    ProperForm, join, pf_intersects_interval, pf_path, pf_segments, segs_length,
+    transform_avoiding, walk,
 )
 from ..spt import SptForest, without_tree_edge
 
@@ -202,7 +203,7 @@ class IncrementalDso:
             pf = self.entry(p, q, i, j)
             if pf is not None:
                 segs = join(walk(f, u, p), pf_segments(pf, f, p), walk(f, q, v))
-                best = _pf_min(best, transform_avoiding(segs, f, u, v, pa, pb))
+                best = _pf_min_gated(best, segs, transform_avoiding, f, u, v, pa, pb)
         return best
 
     def query_edge_failure(self, u: int, v: int, eid: int, want_path: bool = False):
@@ -235,6 +236,17 @@ def _pf_min(a: Optional[ProperForm], b: Optional[ProperForm]) -> Optional[Proper
     if b is None:
         return a
     return a if a.length <= b.length else b
+
+
+def _pf_min_gated(best: Optional[ProperForm], segs, gate, *args) -> Optional[ProperForm]:
+    """The shorter of ``best`` and ``gate(segs, *args)``, ``best`` on a tie.
+
+    A gated form is as long as its walk, so a walk no shorter than ``best``
+    is not gated.
+    """
+    if segs is None or (best is not None and segs_length(segs) >= best.length):
+        return best
+    return _pf_min(best, gate(segs, *args))
 
 
 def _pair_entries(forest: SptForest, u: int, v: int, trees: dict) -> dict:

@@ -282,7 +282,7 @@ class Frp2Solver:
         rows: list[Optional[list]] = [None] * h
         for r in range(h - 1, -1, -1):
             z = r + 1
-            tail = W(total.base - self.pre[z].base, total.tie - self.pre[z].tie)
+            tail = total - self.pre[z]
             for b in range(0, r + 1):
                 mz = m.d(b, z)
                 if mz is not None:

@@ -47,8 +47,7 @@ class PathCoords:
 
     def walk(self, i: int, j: int) -> W:
         a, b = (i, j) if i <= j else (j, i)
-        return W(self.pre[b].base - self.pre[a].base,
-                 self.pre[b].tie - self.pre[a].tie)
+        return self.pre[b] - self.pre[a]
 
     def off(self, i: int, j: int) -> Optional[W]:
         return self.matrix.d(i, j)
@@ -147,18 +146,13 @@ class OracleA:
 
     # -- arbitrary intervals ----------------------------------------------
 
-    def query(self, sig: str, tau: str, iv1: tuple[int, int], iv2: tuple[int, int],
-              allow_overlap: bool = False):
-        """Best (length, (x, y)) between vertex intervals; None if impossible.
-
-        With ``allow_overlap`` the index minimisation runs over overlapping
-        intervals as well; every value is still a concrete walk length.
-        """
+    def query(self, sig: str, tau: str, iv1: tuple[int, int], iv2: tuple[int, int]):
+        """Best (length, (x, y)) between disjoint vertex intervals; None if impossible."""
         lo1, hi1 = iv1
         lo2, hi2 = iv2
         if not (lo1 <= hi1 and lo2 <= hi2):
             return None
-        if not allow_overlap and max(lo1, lo2) <= min(hi1, hi2):
+        if max(lo1, lo2) <= min(hi1, hi2):
             raise DisjointnessViolated(f"{iv1} and {iv2} overlap")
         key = (sig, tau, lo1, hi1, lo2, hi2)
         hit = self._qmemo.get(key, False)

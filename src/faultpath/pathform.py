@@ -216,14 +216,14 @@ def to_proper_form(path: CandidatePath, forest: SptForest) -> Optional[ProperFor
     total = path.length
     # remainder after one bridge edge
     y, tail = path.probe(j + 1)
-    rest = W(total.base - tail.base, total.tie - tail.tie)
+    rest = total - tail
     dyv = forest.spts[y].dist[v]
     if dyv is not None and dyv == rest:
         eid = path.edge(j)
         length = du[x] + forest.graph.edges[eid].w + dyv
         return ProperForm(u, x, eid, y, v, length)
     # remainder without a bridge (two shortest halves meeting at x)
-    rest_x = W(total.base - tail_x.base, total.tie - tail_x.tie)
+    rest_x = total - tail_x
     dxv = forest.spts[x].dist[v]
     if dxv is not None and dxv == rest_x:
         return ProperForm(u, x, None, x, v, du[x] + dxv)

@@ -1,8 +1,9 @@
 """Exact composite edge weights with a tie-breaking channel.
 
-A weight is a pair (base, tie) of non-negative integers.  Addition is
-componentwise, comparison lexicographic, so the base channel always wins
-and the tie channel only decides between paths of equal base length.
+A weight is a pair (base, tie) of non-negative integers.  Addition and
+subtraction are componentwise, comparison lexicographic, so the base
+channel always wins and the tie channel only decides between paths of
+equal base length.
 Tie values are drawn pseudo-randomly so that no two distinct paths ever
 compare equal; this is verified per graph, not assumed (see
 ``faultpath.graph.perturb_and_verify``).
@@ -22,6 +23,9 @@ class CompositeWeight(NamedTuple):
 
     def __add__(self, other: "CompositeWeight") -> "CompositeWeight":  # type: ignore[override]
         return CompositeWeight(self.base + other.base, self.tie + other.tie)
+
+    def __sub__(self, other: "CompositeWeight") -> "CompositeWeight":
+        return CompositeWeight(self.base - other.base, self.tie - other.tie)
 
 
 W = CompositeWeight

@@ -4,11 +4,13 @@ import pytest
 
 from faultpath.dso import incremental
 from faultpath.dso.incremental import DuplicateEdge, TieDetected, insert_edge
+from faultpath.dso.offline import DeletionSweep, build_timeline
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import detour_rich, random_connected
-from faultpath.graph import perturb_and_verify
+from faultpath.graph import Graph, perturb_and_verify
 from faultpath.pathform import pf_intersects_interval
 from faultpath.reference import dist_avoiding, weak_classify
+from faultpath.spt import dijkstra
 
 
 def check_all_queries(g, dso):
@@ -197,3 +199,47 @@ def test_tie_detected_on_colliding_weight():
     t12 = next(e.w for e in g.edges.values() if {e.u, e.v} == {1, 2})
     with pytest.raises(TieDetected):
         insert_edge(dso, 0, 2, t01.base + t12.base, tie=t01.tie + t12.tie)
+
+
+def _without(g, eids):
+    """g minus ``eids``, every other edge with its own id and tie."""
+    out = Graph(g.n)
+    for eid, e in sorted(g.edges.items()):
+        if eid not in eids:
+            out.add_edge(e.u, e.v, e.w, eid=eid)
+    return out
+
+
+def _missed_weak_entries(grown, fresh):
+    """Entries a fresh build holds that the grown table lacks or lengthens.
+
+    A fresh build's non-null entry is the exact detour of a weak interval,
+    which every table must hold; other entries may differ."""
+    assert grown.table.keys() == fresh.table.keys()
+    return [(pair, k) for pair, sub in fresh.table.items()
+            for k, pf in sub.items() if pf is not None
+            and (grown.table[pair][k] is None or grown.table[pair][k].length != pf.length)]
+
+
+def test_grown_weak_entries_match_fresh_build():
+    # one insertion into G - {d, a}: grown back to G - d
+    g = random_connected(20, seed=0)
+    ids = sorted(g.edges)
+    missed = []
+    for d in ids[:6]:
+        for a in ids[6:14]:
+            e = g.edges[a]
+            dso = IncrementalDso.build(_without(g, {d, a}))
+            insert_edge(dso, e.u, e.v, e.w.base, tie=e.w.tie, eid=a)
+            missed += _missed_weak_entries(dso, IncrementalDso.build(_without(g, {d})))
+    assert missed == []
+    # chained insertions: every leaf of a deletion sweep
+    g = detour_rich(16, seed=0)
+    spt = dijkstra(g, 0)
+    eids = sorted(spt.parent_edge[v] for v in range(1, g.n))
+
+    def on_leaf(k, dso):
+        missed.extend(_missed_weak_entries(dso, IncrementalDso.build(_without(g, {eids[k]}))))
+
+    build_timeline(DeletionSweep(g, eids), on_leaf=on_leaf)
+    assert missed == []
