@@ -4,7 +4,8 @@ All randomised commands take a mandatory seed, and every subcommand except
 ``bench`` is byte-deterministic for a fixed (command, input, seed).  Exit
 codes: 0 success, 1 verification mismatch, 2 usage (also a vertex out of
 range, or s and t disconnected), 3 format error (malformed graph, timeline,
-query or snapshot file), 4 I/O error.  Every error is one line on stderr.
+query or snapshot file, or one that is not UTF-8 text), 4 I/O error.  Every
+error is one line on stderr.
 """
 from __future__ import annotations
 
@@ -638,7 +639,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, Disconnected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, Overflow, SnapshotError, InvalidDelete) as exc:
+    except (GraphFormatError, Overflow, SnapshotError, InvalidDelete,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:

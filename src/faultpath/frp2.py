@@ -62,6 +62,14 @@ def frp1_all(graph: Graph, s: int, t: int,
     return Frp1Result(pv, pe, lengths, paths, union)
 
 
+def path_prefix(graph: Graph, path_eids: list[int]) -> list[W]:
+    """pre[i]: length of the path's first i edges."""
+    pre = [W(0, 0)]
+    for eid in path_eids:
+        pre.append(pre[-1] + graph.edges[eid].w)
+    return pre
+
+
 # ---------------------------------------------------------------------------
 # the auxiliary graph H
 # ---------------------------------------------------------------------------
@@ -125,9 +133,7 @@ def build_H(graph: Graph, path_verts: list[int], path_eids: list[int],
     h_edges = len(path_eids)
     n_big = graph.base_weight_sum() + 1
     path_set = set(path_eids)
-    pre = [W(0, 0)]
-    for eid in path_eids:
-        pre.append(pre[-1] + graph.edges[eid].w)
+    pre = path_prefix(graph, path_eids)
     total = pre[-1]
 
     for attempt in range(8):
@@ -227,9 +233,7 @@ class Frp2Solver:
         self._spt = spt
         self.dist_st: W = spt.dist[t]
         self.pos_of_eid = {eid: k for k, eid in enumerate(self.path_eids)}
-        self.pre = [W(0, 0)]
-        for eid in self.path_eids:
-            self.pre.append(self.pre[-1] + graph.edges[eid].w)
+        self.pre = path_prefix(graph, self.path_eids)
         self._frp1: Optional[Frp1Result] = None
         self._h_dso: Optional[IncrementalDso] = None
         self._matrix: Optional[OffPathMatrix] = None
@@ -326,40 +330,24 @@ class Frp2Solver:
         def edge_w(pos: int) -> W:
             return self.graph.edges[self.path_eids[pos]].w
 
-        # backward order: converge at a >= b, walk down to b, leave at b
-        wrow: list[Optional[tuple[W, int, int]]] = [None] * (r + 1)
-        for b in range(r, l, -1):
-            cand = None
-            if u_row[b] is not None:
-                cand = (u_row[b][0], u_row[b][1], b)
-            if b < r and wrow[b + 1] is not None:
-                prevw, pw, pa = wrow[b + 1]
-                stepped = (prevw + edge_w(b), pw, pa)
-                if cand is None or stepped[0] < cand[0]:
-                    cand = stepped
-            wrow[b] = cand
-            if cand is not None and up[b] is not None:
-                tot = (cand[0] + up[b][0]).base
-                if best is None or tot < best:
-                    best = tot
-                    winner = ("rev", l, r, cand[1], cand[2], b, up[b][1])
+        # backward order: converge at a >= b, walk down to b, leave at b;
         # forward order: converge at a <= b, walk up to b, leave at b
-        frow: list[Optional[tuple[W, int, int]]] = [None] * (r + 1)
-        for b in range(l + 1, r + 1):
-            cand = None
-            if u_row[b] is not None:
-                cand = (u_row[b][0], u_row[b][1], b)
-            if b > l + 1 and frow[b - 1] is not None:
-                prevw, pw, pa = frow[b - 1]
-                stepped = (prevw + edge_w(b - 1), pw, pa)
-                if cand is None or stepped[0] < cand[0]:
-                    cand = stepped
-            frow[b] = cand
-            if cand is not None and up[b] is not None:
-                tot = (cand[0] + up[b][0]).base
-                if best is None or tot < best:
-                    best = tot
-                    winner = ("fwd", l, r, cand[1], cand[2], b, up[b][1])
+        for kind, order in (("rev", range(r, l, -1)), ("fwd", range(l + 1, r + 1))):
+            prev: Optional[tuple[W, int, int]] = None  # best (leg, w, a) at b_prev
+            for b in order:
+                cand = None
+                if u_row[b] is not None:
+                    cand = (u_row[b][0], u_row[b][1], b)
+                if prev is not None:
+                    stepped = (prev[0] + edge_w(min(b, b_prev)), prev[1], prev[2])
+                    if cand is None or stepped[0] < cand[0]:
+                        cand = stepped
+                prev, b_prev = cand, b
+                if cand is not None and up[b] is not None:
+                    tot = (cand[0] + up[b][0]).base
+                    if best is None or tot < best:
+                        best = tot
+                        winner = (kind, l, r, cand[1], cand[2], b, up[b][1])
         return BothOnAnswer(best, winner)
 
     # -- public answers ------------------------------------------------------

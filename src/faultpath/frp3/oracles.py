@@ -8,7 +8,22 @@ callers can recover the visited segments.
 
 Entries live on range-tree items (dyadic edge ranges or single vertices) and
 are memoised lazily; arbitrary intervals decompose into O(log) items and
-fold with the same merge rules used between siblings.
+fold with the same merge rules used between siblings.  Two rules build
+every entry:
+
+- Split (A): a range item splits into its two children.  The child holding
+  the item's anchor end answers as it is; the far child's answer is shifted
+  by the walk from its own anchor end back to the item's.  One rule covers
+  both items and both anchor sides.
+- Cross (B): converge in one item from the source leg, walk the path to
+  another item, and diverge from it into the target.  The walk joins the
+  ends of the two items that face each other, so converging left of the
+  other item arrives at its right end.  A single vertex is the cross from
+  itself to itself; a range item adds the crosses between its children to
+  their own entries; a query adds the crosses between its parts.
+
+The suffix-side oracle is oracle B on the mirrored path (position i read as
+L - i), built from the same coordinates by ``mirror_coords``.
 """
 from __future__ import annotations
 
@@ -16,7 +31,6 @@ from functools import lru_cache
 from typing import Optional
 
 from ..weights import CompositeWeight as W
-from .partition import PaddedInstance
 
 
 class DisjointnessViolated(ValueError):
@@ -35,22 +49,32 @@ def item_right(it: Item) -> int:
 
 
 class PathCoords:
-    """Positions, prefix sums and the off-path matrix for the padded path."""
+    """Prefix sums and off-path distances over the padded path's positions.
 
-    def __init__(self, inst: PaddedInstance, matrix):
-        self.inst = inst
-        self.L = inst.hops
-        self.pre = [W(0, 0)]
-        for eid in inst.path_eids:
-            self.pre.append(self.pre[-1] + inst.graph.edges[eid].w)
-        self.matrix = matrix  # OffPathMatrix over the padded path
+    ``pre[i]`` is the length of the path's first i edges and ``dist[i][j]``
+    the distance between positions i and j in G - pi(s, t) (None when it
+    disconnects them).
+    """
+
+    def __init__(self, pre: list[W], dist: list[list[Optional[W]]]):
+        self.pre = pre
+        self.dist = dist
+        self.L = len(pre) - 1
 
     def walk(self, i: int, j: int) -> W:
         a, b = (i, j) if i <= j else (j, i)
         return self.pre[b] - self.pre[a]
 
     def off(self, i: int, j: int) -> Optional[W]:
-        return self.matrix.d(i, j)
+        return self.dist[i][j]
+
+
+def mirror_coords(coords: PathCoords) -> PathCoords:
+    """The same path read from t back to s: position i becomes L - i."""
+    L = coords.L
+    top = coords.pre[L]
+    return PathCoords([top - coords.pre[L - i] for i in range(L + 1)],
+                      [row[::-1] for row in reversed(coords.dist)])
 
 
 @lru_cache(maxsize=65536)
@@ -82,12 +106,27 @@ def _children(it: Item) -> tuple[Item, Item]:
     return ("r", lo, mid), ("r", mid + 1, hi)
 
 
+def item_end(it: Item, side: str) -> int:
+    return item_left(it) if side == "l" else item_right(it)
+
+
+def _lead(c: PathCoords, side: str, part: Item, lo: int, hi: int) -> W:
+    """Walk from ``part``'s ``side`` end out to the same end of [lo, hi]."""
+    return c.walk(item_end(part, side), lo if side == "l" else hi)
+
+
 def _better(a, b):
     if a is None:
         return b
     if b is None:
         return a
     return a if a[0] <= b[0] else b
+
+
+def _shift(val, extra: W):
+    if val is None:
+        return None
+    return (val[0] + extra, val[1])
 
 
 class OracleA:
@@ -106,43 +145,26 @@ class OracleA:
         hit = self._memo.get(key, False)
         if hit is not False:
             return hit
-        if it1[0] == "v" and it2[0] == "v":
+        if it1[0] == "r":
+            near, far, gap = self._split(it1, sig)
+            val = _better(self.entry(sig, tau, near, it2),
+                          _shift(self.entry(sig, tau, far, it2), gap))
+        elif it2[0] == "r":
+            near, far, gap = self._split(it2, tau)
+            val = _better(self.entry(sig, tau, it1, near),
+                          _shift(self.entry(sig, tau, it1, far), gap))
+        else:
             d = self.c.off(it1[1], it2[1])
             val = None if d is None else (d, (it1[1], it2[1]))
-        elif it1[0] == "r":
-            c1, c2 = _children(it1)
-            if sig == "l":
-                anchor = item_left(it1)
-                a = self.entry(sig, tau, c1, it2)
-                b = self._shift(self.entry(sig, tau, c2, it2),
-                                self.c.walk(anchor, item_left(c2)))
-            else:
-                anchor = item_right(it1)
-                a = self.entry(sig, tau, c2, it2)
-                b = self._shift(self.entry(sig, tau, c1, it2),
-                                self.c.walk(item_right(c1), anchor))
-            val = _better(a, b)
-        else:
-            c1, c2 = _children(it2)
-            if tau == "l":
-                anchor = item_left(it2)
-                a = self.entry(sig, tau, it1, c1)
-                b = self._shift(self.entry(sig, tau, it1, c2),
-                                self.c.walk(anchor, item_left(c2)))
-            else:
-                anchor = item_right(it2)
-                a = self.entry(sig, tau, it1, c2)
-                b = self._shift(self.entry(sig, tau, it1, c1),
-                                self.c.walk(item_right(c1), anchor))
-            val = _better(a, b)
         self._memo[key] = val
         return val
 
-    @staticmethod
-    def _shift(val, extra: W):
-        if val is None:
-            return None
-        return (val[0] + extra, val[1])
+    def _split(self, it: Item, side: str) -> tuple[Item, Item, W]:
+        """The child holding ``it``'s ``side`` end, the other child, and the
+        walk from the other child's ``side`` end back to ``it``'s."""
+        c1, c2 = _children(it)
+        near, far = (c1, c2) if side == "l" else (c2, c1)
+        return near, far, self.c.walk(item_end(far, side), item_end(it, side))
 
     # -- arbitrary intervals ----------------------------------------------
 
@@ -162,11 +184,9 @@ class OracleA:
         parts2 = decompose(lo2, hi2, self.k)
         best = None
         for p1 in parts1:
-            g1 = (self.c.walk(lo1, item_left(p1)) if sig == "l"
-                  else self.c.walk(item_right(p1), hi1))
+            g1 = _lead(self.c, sig, p1, lo1, hi1)
             for p2 in parts2:
-                g2 = (self.c.walk(lo2, item_left(p2)) if tau == "l"
-                      else self.c.walk(item_right(p2), hi2))
+                g2 = _lead(self.c, tau, p2, lo2, hi2)
                 v = self.entry(sig, tau, p1, p2)
                 if v is not None:
                     best = _better(best, (v[0] + g1 + g2, v[1]))
@@ -184,47 +204,38 @@ class OracleB:
         self._memo: dict = {}
         self._qmemo: dict = {}
 
-    def _base(self, d1: int, w: int, sig: str, it2: Item):
-        """R1 a single vertex w: two chained A queries."""
-        first = self.a.query("l", "l", (0, d1), (w, w))
-        if first is None:
-            return None
-        second = self.a.entry("l", sig, ("v", w), it2)
-        if second is None:
-            return None
-        (lw, (x, _)), (rw, (_, z)) = first, second
-        return (lw + rw, (x, w, w, z))
-
     def entry(self, sig: str, d1: int, it1: Item, it2: Item):
         key = (sig, d1, it1, it2)
         hit = self._memo.get(key, False)
         if hit is not False:
             return hit
         if it1[0] == "v":
-            val = self._base(d1, it1[1], sig, it2)
+            val = self._cross(sig, d1, it1, it1, it2)
         else:
             c1, c2 = _children(it1)
-            cands = [self.entry(sig, d1, c1, it2), self.entry(sig, d1, c2, it2)]
-            # converge in the left child, cross into the right, or vice versa
-            fa = self.a.query("l", "r", (0, d1), (item_left(c1), item_right(c1)))
-            if fa is not None:
-                sb = self.a.entry("l", sig, c2, it2)
-                if sb is not None:
-                    gap = self.c.walk(item_right(c1), item_left(c2))
-                    (lw, (x, y1)), (rw, (y2, z)) = fa, sb
-                    cands.append((lw + gap + rw, (x, y1, y2, z)))
-            fb = self.a.query("l", "l", (0, d1), (item_left(c2), item_right(c2)))
-            if fb is not None:
-                sb = self.a.entry("r", sig, c1, it2)
-                if sb is not None:
-                    gap = self.c.walk(item_right(c1), item_left(c2))
-                    (lw, (x, y1)), (rw, (y2, z)) = fb, sb
-                    cands.append((lw + gap + rw, (x, y1, y2, z)))
-            val = None
-            for cd in cands:
-                val = _better(val, cd)
+            val = _better(self.entry(sig, d1, c1, it2), self.entry(sig, d1, c2, it2))
+            val = _better(val, self._cross(sig, d1, c1, c2, it2))
+            val = _better(val, self._cross(sig, d1, c2, c1, it2))
         self._memo[key] = val
         return val
+
+    def _cross(self, sig: str, d1: int, into: Item, out: Item, it2: Item):
+        """Converge in ``into`` from the source leg, walk the path to ``out``,
+        diverge from ``out`` into ``it2`` and on to its ``sig`` end.
+
+        The walk joins the ends of the two items that face each other (both
+        ends of one vertex when they are the same).
+        """
+        conv, div = ("r", "l") if item_left(into) <= item_left(out) else ("l", "r")
+        first = self.a.query("l", conv, (0, d1), (item_left(into), item_right(into)))
+        if first is None:
+            return None
+        second = self.a.entry(div, sig, out, it2)
+        if second is None:
+            return None
+        gap = self.c.walk(item_end(into, conv), item_end(out, div))
+        (lw, (x, y1)), (rw, (y2, z)) = first, second
+        return (lw + gap + rw, (x, y1, y2, z))
 
     def query(self, sig: str, d1: int, iv1: tuple[int, int], iv2: tuple[int, int],
               allow_overlap: bool = False):
@@ -244,37 +255,20 @@ class OracleB:
         parts1 = decompose(lo1, hi1, self.k)
         parts2 = decompose(lo2, hi2, self.k)
         best = None
-        for i2, p2 in enumerate(parts2):
-            g2 = (self.c.walk(lo2, item_left(p2)) if sig == "l"
-                  else self.c.walk(item_right(p2), hi2))
-            # single-part visits
+        for p2 in parts2:
+            g2 = _lead(self.c, sig, p2, lo2, hi2)
+            # the visit stays inside one part of R1 ...
             for p1 in parts1:
                 v = self.entry(sig, d1, p1, p2)
                 if v is not None:
                     best = _better(best, (v[0] + g2, v[1]))
-            # cross-part visits: converge in parts1[i], diverge from parts1[j]
-            for i in range(len(parts1)):
-                for j in range(len(parts1)):
-                    if i == j:
-                        continue
-                    pi, pj = parts1[i], parts1[j]
-                    if i < j:
-                        fa = self.a.query("l", "r", (0, d1),
-                                          (item_left(pi), item_right(pi)))
-                        anchor_j = "l"
-                        gap = self.c.walk(item_right(pi), item_left(pj))
-                    else:
-                        fa = self.a.query("l", "l", (0, d1),
-                                          (item_left(pi), item_right(pi)))
-                        anchor_j = "r"
-                        gap = self.c.walk(item_left(pi), item_right(pj))
-                    if fa is None:
-                        continue
-                    sb = self.a.entry(anchor_j, sig, pj, p2)
-                    if sb is None:
-                        continue
-                    (lw, (x, y1)), (rw, (y2, z)) = fa, sb
-                    best = _better(best, (lw + gap + rw + g2, (x, y1, y2, z)))
+            # ... or converges in one part and diverges from another
+            for pi in parts1:
+                for pj in parts1:
+                    if pi != pj:
+                        v = self._cross(sig, d1, pi, pj, p2)
+                        if v is not None:
+                            best = _better(best, (v[0] + g2, v[1]))
         self._qmemo[key] = best
         return best
 
@@ -305,27 +299,3 @@ class MirrorOracleB:
             return None
         w, (x, y1, y2, z) = got
         return (w, (self.L - x, self.L - y1, self.L - y2, self.L - z))
-
-
-def mirror_coords(inst: PaddedInstance, matrix) -> PathCoords:
-    """PathCoords of the reversed path, sharing the off-path matrix."""
-
-    class _RevMatrix:
-        def __init__(self, m, L):
-            self.m = m
-            self.L = L
-
-        def d(self, i, j):
-            return self.m.d(self.L - i, self.L - j)
-
-    class _RevCoords(PathCoords):
-        def __init__(self, inst, matrix):
-            self.inst = inst
-            self.L = inst.hops
-            pre = [W(0, 0)]
-            for eid in reversed(inst.path_eids):
-                pre.append(pre[-1] + inst.graph.edges[eid].w)
-            self.pre = pre
-            self.matrix = _RevMatrix(matrix, inst.hops)
-
-    return _RevCoords(inst, matrix)

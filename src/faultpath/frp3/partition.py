@@ -44,19 +44,17 @@ def pad_to_power_of_two(graph: Graph, s: int, t: int, seed: int = 0) -> PaddedIn
     rng = random.Random(f"faultpath-pad:{seed}")
     g = graph.copy()
     chain = list(range(graph.n, graph.n + pad))
-    g2 = Graph(graph.n + pad)
-    g2.edges = dict(g.edges)
-    g2.adj = g.adj + [[] for _ in range(pad)]
-    g2._next_eid = g._next_eid
+    g.n += pad
+    g.adj.extend([] for _ in range(pad))
     pad_eids = []
     prev = s
     for v in chain:
-        pad_eids.append(g2.add_edge(v, prev, W(0, rng.randrange(1, TIE_RANGE))))
+        pad_eids.append(g.add_edge(v, prev, W(0, rng.randrange(1, TIE_RANGE))))
         prev = v
     new_s = chain[-1] if pad else s
     path_verts = list(reversed(chain)) + pv
     path_eids = list(reversed(pad_eids)) + pe
-    return PaddedInstance(g2, new_s, t, s, path_verts, path_eids, pad, k)
+    return PaddedInstance(g, new_s, t, s, path_verts, path_eids, pad, k)
 
 
 class BinaryPartition:

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ..frp2 import OffPathMatrix, path_prefix
 from ..weights import CompositeWeight as W
-from .oracles import MirrorOracleB, OracleA, OracleB
+from .oracles import MirrorOracleB, OracleA, OracleB, PathCoords, mirror_coords
+from .partition import PaddedInstance
 
 
 Seg = tuple[int, int]  # vertex interval on the padded path
@@ -49,11 +51,12 @@ class SnakeHit:
 class SnakeOracles:
     """The A / B / mirrored-B trio over one padded instance."""
 
-    def __init__(self, oracle_a: OracleA, oracle_b: OracleB, mirror_b: MirrorOracleB):
-        self.a = oracle_a
-        self.b = oracle_b
-        self.bm = mirror_b
-        self.L = oracle_a.c.L
+    def __init__(self, inst: PaddedInstance, matrix: OffPathMatrix):
+        coords = PathCoords(path_prefix(inst.graph, inst.path_eids), matrix.dist)
+        self.a = OracleA(coords, inst.k)
+        self.b = OracleB(self.a)
+        self.bm = MirrorOracleB(mirror_coords(coords), inst.k)
+        self.L = coords.L
 
 
 def _intervals_of_cuts(cuts: list[int], L: int) -> list[Seg]:

@@ -23,7 +23,6 @@ from ..dso.static import IncrementalDso
 from ..frp2 import Frp2Solver, build_H
 from ..graph import Graph
 from ..spt import dijkstra
-from .oracles import MirrorOracleB, OracleA, OracleB, PathCoords, mirror_coords
 from .partition import BinaryPartition, level_graph, pad_to_power_of_two
 from .snake import PairProbeLoop, SnakeOracles
 
@@ -66,14 +65,7 @@ class Frp3Solver:
         self.partition = BinaryPartition(P)
         self.aux, self.levels = self._build_aux_and_levels(seed)
         self.frp2 = Frp2Solver(P.graph, P.s, P.t, seed=seed, aux=self.aux)
-        matrix = self.frp2.matrix
-        coords = PathCoords(P, matrix)
-        oa = OracleA(coords, P.k)
-        ob = OracleB(oa)
-        obm = MirrorOracleB(mirror_coords(P, matrix), P.k)
-        self.snakes = SnakeOracles(oa, ob, obm)
-        self.oracle_a = oa
-        self.oracle_b = ob
+        self.snakes = SnakeOracles(P, self.frp2.matrix)
         self.stats = Frp3Stats()
         self._pad_eids = set(P.path_eids[:P.pad])
 
@@ -223,14 +215,14 @@ class Frp3Solver:
         P = self.inst
         L = P.hops
         for (le, re), mids in sorted(groups.items()):
-            t1 = self.oracle_a.query("l", "r", (0, le), (re + 1, L))
+            t1 = self.snakes.a.query("l", "r", (0, le), (re + 1, L))
             loop = PairProbeLoop(self.snakes, le, re)
             self.stats.loop_potentials.append(loop.potentials())
             if not loop.stage_bound_ok():
                 self.stats.loop_bounds_ok = False
             for mid in sorted(mids):
-                t2 = self.oracle_b.query("r", le, (le + 1, mid), (re + 1, L))
-                t3 = self.oracle_b.query("r", le, (mid + 1, re), (re + 1, L))
+                t2 = self.snakes.b.query("r", le, (le + 1, mid), (re + 1, L))
+                t3 = self.snakes.b.query("r", le, (mid + 1, re), (re + 1, L))
                 snake = loop.answer(mid)
                 ans = None if t1 is None else t1[0].base
                 ans = _omin(ans, None if t2 is None else t2[0].base)

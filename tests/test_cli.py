@@ -233,6 +233,10 @@ OFFLINE = ["dso", "offline", "--timeline"]
 # the tri graph as a timeline has no updates, so only t = 0 exists
 QUERY_FILES = {"q_vertex": "q 0 0 9 0 1\n", "q_step": "q 5 0 2 0 1\n",
                "q_ok": "q 0 0 2 0 1\n", "q_gone": "q 1 0 2 0 1\n"}
+# one byte that is not UTF-8 in a graph, a timeline and a queries file
+NOT_UTF8_FILES = {"graph_ff": b"p 2 1\ne 0 1 \xff\n",
+                  "tri_plus_ff": b"p 3 2\ne 0 1 3\ne 1 2 4\n+ 0 2 \xff\n",
+                  "q_ff": b"q 0 0 2 0 \xff\n"}
 
 
 def corrupt_snapshots(data: bytes) -> dict[str, bytes]:
@@ -286,6 +290,11 @@ def without_pairs(data: bytes) -> bytes:
                  id="snapshot-entry-bridge"),
     pytest.param(3, [*QUERY, "--snapshot", "{no_pairs}", "--v", "2"],
                  id="snapshot-without-pairs"),
+    pytest.param(3, ["frp", "--faults", "1", "--graph", "{graph_ff}", "--s", "0", "--t", "1"],
+                 id="graph-not-utf8"),
+    pytest.param(3, [*OFFLINE, "{tri_plus_ff}", "--queries", "{q_ok}"],
+                 id="timeline-not-utf8"),
+    pytest.param(3, [*OFFLINE, "{tri}", "--queries", "{q_ff}"], id="queries-not-utf8"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     paths = {}
@@ -295,6 +304,9 @@ def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     for name, text in QUERY_FILES.items():
         paths[name] = str(tmp_path / f"{name}.txt")
         (tmp_path / f"{name}.txt").write_text(text)
+    for name, data in NOT_UTF8_FILES.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_bytes(data)
     snap = tmp_path / "tri.dso"
     assert main(["dso", "build", "--graph", paths["tri"], "--out", str(snap)]) == 0
     trunc = tmp_path / "trunc.dso"

@@ -1,6 +1,8 @@
 import random
 
-from faultpath.families import cycle, path, random_connected
+import pytest
+
+from faultpath.families import cycle, detour_rich, path, random_connected
 from faultpath.frp2 import Frp2Solver, OffPathMatrix, build_H, frp1_all, \
     frp2_one_on_path, iter_required_pairs
 from faultpath.frp3.partition import pad_to_power_of_two
@@ -160,9 +162,13 @@ def test_both_on_adjacent_reduces_to_H_value():
         assert got.base == hval
 
 
-def test_rp2_paths_replay_exactly():
-    g = random_connected(20, seed=8)
-    s, t = 0, 19
+# detour_rich(12, 0) adds 99 pairs with both failures on the path; their
+# paths are expanded from H or from a winner of the two-order sweep
+@pytest.mark.parametrize("family,n,seed", [(random_connected, 20, 8), (detour_rich, 12, 0)],
+                         ids=["random_connected-20-8", "detour_rich-12-0"])
+def test_rp2_paths_replay_exactly(family, n, seed):
+    g = family(n, seed=seed)
+    s, t = 0, n - 1
     sol = Frp2Solver(g, s, t)
     rng = random.Random(2)
     for d1, d2 in iter_required_pairs(sol):

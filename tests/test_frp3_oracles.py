@@ -4,22 +4,17 @@ import pytest
 
 from faultpath.families import detour_rich, random_connected
 from faultpath.frp2 import OffPathMatrix, build_H
-from faultpath.frp3.oracles import (
-    DisjointnessViolated, MirrorOracleB, OracleA, OracleB, PathCoords,
-    decompose, mirror_coords,
-)
+from faultpath.frp3.oracles import DisjointnessViolated, decompose
 from faultpath.frp3.partition import pad_to_power_of_two
+from faultpath.frp3.snake import SnakeOracles
 
 
 def make(n=18, seed=3, family=random_connected):
     g = family(n, seed=seed)
     inst = pad_to_power_of_two(g, 0, n - 1, seed=seed)
     matrix = OffPathMatrix(build_H(inst.graph, inst.path_verts, inst.path_eids))
-    coords = PathCoords(inst, matrix)
-    oa = OracleA(coords, inst.k)
-    ob = OracleB(oa)
-    obm = MirrorOracleB(mirror_coords(inst, matrix), inst.k)
-    return g, inst, matrix, coords, oa, ob, obm
+    snakes = SnakeOracles(inst, matrix)
+    return g, inst, matrix, snakes.a.c, snakes.a, snakes.b, snakes.bm
 
 
 def brute_a(coords, sig, tau, iv1, iv2):
@@ -199,6 +194,10 @@ def test_oracle_b_random_vs_brute():
             x, y1, y2, z = got[1]
             assert 0 <= x <= d1 and lo1 <= y1 <= hi1 and lo1 <= y2 <= hi1
             assert lo2 <= z <= hi2
+            # witness re-derives the value
+            anchor = lo2 if sig == "l" else hi2
+            assert (coords.walk(0, x) + coords.off(x, y1) + coords.walk(y1, y2)
+                    + coords.off(y2, z) + coords.walk(z, anchor)) == want
         checked += 1
     assert checked > 60
 

@@ -4,8 +4,6 @@ import random
 from faultpath.families import cycle, detour_rich, fixed_c8_family, path, \
     random_connected
 from faultpath.frp2 import OffPathMatrix, build_H
-from faultpath.frp3.oracles import MirrorOracleB, OracleA, OracleB, PathCoords, \
-    mirror_coords
 from faultpath.frp3.partition import pad_to_power_of_two
 from faultpath.frp3.snake import PairProbeLoop, SnakeOracles, snake_through
 from faultpath.frp3.solver import solve_3frp
@@ -15,11 +13,7 @@ from faultpath.reference import dist_avoiding, snake_oracle
 def snake_setup(g, seed=0):
     inst = pad_to_power_of_two(g, 0, g.n - 1, seed=seed)
     matrix = OffPathMatrix(build_H(inst.graph, inst.path_verts, inst.path_eids))
-    coords = PathCoords(inst, matrix)
-    oa = OracleA(coords, inst.k)
-    ob = OracleB(oa)
-    obm = MirrorOracleB(mirror_coords(inst, matrix), inst.k)
-    return inst, SnakeOracles(oa, ob, obm)
+    return inst, SnakeOracles(inst, matrix)
 
 
 def test_snake_through_two_sided_vs_exhaustive():
