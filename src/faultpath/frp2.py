@@ -5,7 +5,10 @@ edge d, two terminals wired to the path prefix and suffix with weights
 shifted by a large constant N.  A single-failure query between d's terminals
 then reads off two-failure distances in the base graph.  Pairs with both
 failures on the path are handled by a dynamic program over the interval
-between them, swept in both traversal orders.
+between them, swept in both traversal orders.  The sweep reads two hookup
+tables: U (leave the path before the first failure, re-enter it at a) and U'
+(leave the path at b, re-enter it after the second failure).  The graph is
+undirected, so U' is U on the mirrored path, read from t back to s.
 """
 from __future__ import annotations
 
@@ -68,6 +71,57 @@ def path_prefix(graph: Graph, path_eids: list[int]) -> list[W]:
     for eid in path_eids:
         pre.append(pre[-1] + graph.edges[eid].w)
     return pre
+
+
+class PathCoords:
+    """Prefix sums and off-path distances over a path's positions.
+
+    ``pre[i]`` is the length of the path's first i edges and ``dist[i][j]``
+    the distance between positions i and j in G - pi(s, t) (None when it
+    disconnects them).
+    """
+
+    def __init__(self, pre: list[W], dist: list[list[Optional[W]]]):
+        self.pre = pre
+        self.dist = dist
+        self.L = len(pre) - 1
+
+    def walk(self, i: int, j: int) -> W:
+        a, b = (i, j) if i <= j else (j, i)
+        return self.pre[b] - self.pre[a]
+
+    def off(self, i: int, j: int) -> Optional[W]:
+        return self.dist[i][j]
+
+
+def mirror_coords(coords: PathCoords) -> PathCoords:
+    """The same path read from t back to s: position i becomes L - i."""
+    L = coords.L
+    top = coords.pre[L]
+    return PathCoords([top - coords.pre[L - i] for i in range(L + 1)],
+                      [row[::-1] for row in reversed(coords.dist)])
+
+
+def hookups(c: PathCoords) -> list[list[Optional[tuple[W, int]]]]:
+    """Row l, column a > l: the best (pre[w] + off(w, a), w) over w <= l.
+
+    This is U: leave the path at w <= l and rejoin it at a, the first w
+    winning ties; one running minimum over w builds every row.  U' is U on
+    the mirrored path: U'[r][b] is row L - 1 - r, column L - b, witness
+    z = L - w, the best off(b, z) + pre[L] - pre[z] over z > r (the largest
+    z on ties).
+    """
+    run: list[Optional[tuple[W, int]]] = [None] * (c.L + 1)
+    rows = []
+    for w in range(c.L):
+        for a in range(w + 1, c.L + 1):
+            d = c.off(w, a)
+            if d is not None:
+                cand = c.pre[w] + d
+                if run[a] is None or cand < run[a][0]:
+                    run[a] = (cand, w)
+        rows.append(run[:])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +291,7 @@ class Frp2Solver:
         self._frp1: Optional[Frp1Result] = None
         self._h_dso: Optional[IncrementalDso] = None
         self._matrix: Optional[OffPathMatrix] = None
-        self._uprime: Optional[list] = None
-        self._u_rows: dict[int, list] = {}
+        self._hookups: Optional[tuple[list, list]] = None
         self._rp_sets: dict[int, frozenset] = {}
 
     # -- cached parts ------------------------------------------------------
@@ -275,33 +328,18 @@ class Frp2Solver:
 
     # -- the U / U' / W machinery -------------------------------------------
 
-    def _u_prime(self) -> list:
-        """U'[r][b]: best suffix hookup for d2 at r, leaving the path at b <= r."""
-        if self._uprime is not None:
-            return self._uprime
-        h = len(self.path_eids)
-        m = self.matrix
-        total = self.pre[h]
-        run: list[Optional[tuple[W, int]]] = [None] * (h + 1)
-        rows: list[Optional[list]] = [None] * h
-        for r in range(h - 1, -1, -1):
-            z = r + 1
-            tail = total - self.pre[z]
-            for b in range(0, r + 1):
-                mz = m.d(b, z)
-                if mz is not None:
-                    cand = (mz + tail, z)
-                    if run[b] is None or cand[0] < run[b][0]:
-                        run[b] = cand
-            rows[r] = [run[b] for b in range(0, r + 1)]
-        self._uprime = rows
-        return rows
+    @property
+    def hookup_tables(self) -> tuple[list, list]:
+        """``hookups`` on the path (U) and on the mirrored path (U')."""
+        if self._hookups is None:
+            c = PathCoords(self.pre, self.matrix.dist)
+            self._hookups = (hookups(c), hookups(mirror_coords(c)))
+        return self._hookups
 
     def both_on_path(self, l: int, r: int) -> BothOnAnswer:
         """Exact answer for failures at path positions l < r."""
         assert l < r
         h = len(self.path_eids)
-        m = self.matrix
         # direct H value: avoid the whole middle interval
         td = self._term_dist(l)
         hv = self.aux.two_term_value(td[self.aux.term_plus[r]])
@@ -310,22 +348,10 @@ class Frp2Solver:
         if hv is not None:
             best = hv
             winner = ("H", l, r)
-        # U row for this l: diverge at w <= l, re-enter at a
-        u_row = self._u_rows.get(l)
-        if u_row is None:
-            u_row = [None] * (h + 1)
-            for a in range(l + 1, h + 1):
-                bw: Optional[tuple[W, int]] = None
-                for w in range(0, l + 1):
-                    mwa = m.d(w, a)
-                    if mwa is None:
-                        continue
-                    cand = self.pre[w] + mwa
-                    if bw is None or cand < bw[0]:
-                        bw = (cand, w)
-                u_row[a] = bw
-            self._u_rows[l] = u_row
-        up = self._u_prime()[r]
+        # U row for l: diverge at w <= l, re-enter at a; U' row for r, read
+        # mirrored: leave at b, re-enter at z = h - w > r
+        u, u_mirror = self.hookup_tables
+        u_row, up_row = u[l], u_mirror[h - 1 - r]
 
         def edge_w(pos: int) -> W:
             return self.graph.edges[self.path_eids[pos]].w
@@ -343,11 +369,12 @@ class Frp2Solver:
                     if cand is None or stepped[0] < cand[0]:
                         cand = stepped
                 prev, b_prev = cand, b
-                if cand is not None and up[b] is not None:
-                    tot = (cand[0] + up[b][0]).base
+                up = up_row[h - b]
+                if cand is not None and up is not None:
+                    tot = (cand[0] + up[0]).base
                     if best is None or tot < best:
                         best = tot
-                        winner = (kind, l, r, cand[1], cand[2], b, up[b][1])
+                        winner = (kind, l, r, cand[1], cand[2], b, h - up[1])
         return BothOnAnswer(best, winner)
 
     # -- public answers ------------------------------------------------------

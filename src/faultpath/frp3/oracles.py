@@ -22,14 +22,15 @@ every entry:
   itself to itself; a range item adds the crosses between its children to
   their own entries; a query adds the crosses between its parts.
 
-The suffix-side oracle is oracle B on the mirrored path (position i read as
-L - i), built from the same coordinates by ``mirror_coords``.
+Suffix-side values (leave a part, visit another, converge after a failure
+and run to t) are oracle B's values on the mirrored path, position i read as
+L - i (``frp2.mirror_coords``).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
+from ..frp2 import PathCoords
 from ..weights import CompositeWeight as W
 
 
@@ -46,35 +47,6 @@ def item_left(it: Item) -> int:
 
 def item_right(it: Item) -> int:
     return it[1] if it[0] == "v" else it[2] + 1
-
-
-class PathCoords:
-    """Prefix sums and off-path distances over the padded path's positions.
-
-    ``pre[i]`` is the length of the path's first i edges and ``dist[i][j]``
-    the distance between positions i and j in G - pi(s, t) (None when it
-    disconnects them).
-    """
-
-    def __init__(self, pre: list[W], dist: list[list[Optional[W]]]):
-        self.pre = pre
-        self.dist = dist
-        self.L = len(pre) - 1
-
-    def walk(self, i: int, j: int) -> W:
-        a, b = (i, j) if i <= j else (j, i)
-        return self.pre[b] - self.pre[a]
-
-    def off(self, i: int, j: int) -> Optional[W]:
-        return self.dist[i][j]
-
-
-def mirror_coords(coords: PathCoords) -> PathCoords:
-    """The same path read from t back to s: position i becomes L - i."""
-    L = coords.L
-    top = coords.pre[L]
-    return PathCoords([top - coords.pre[L - i] for i in range(L + 1)],
-                      [row[::-1] for row in reversed(coords.dist)])
 
 
 @lru_cache(maxsize=65536)
@@ -271,31 +243,3 @@ class OracleB:
                             best = _better(best, (v[0] + g2, v[1]))
         self._qmemo[key] = best
         return best
-
-
-class MirrorOracleB:
-    """Suffix-side twin of OracleB, phrased in original path coordinates.
-
-    ``query(sigma, d3, Rj, Rend)``: best path starting at Rend's sigma anchor,
-    diverging from Rend, visiting Rj once, then converging after edge d3 and
-    running to t.
-    """
-
-    def __init__(self, coords_mirror: PathCoords, k: int):
-        self.b = OracleB(OracleA(coords_mirror, k))
-        self.L = coords_mirror.L
-
-    def _mi(self, iv: tuple[int, int]) -> tuple[int, int]:
-        lo, hi = iv
-        return (self.L - hi, self.L - lo)
-
-    def query(self, sig: str, d3_edge: int, rj: tuple[int, int], rend: tuple[int, int],
-              allow_overlap: bool = False):
-        sig_m = "r" if sig == "l" else "l"
-        d1_m = self.L - 1 - d3_edge
-        got = self.b.query(sig_m, d1_m, self._mi(rj), self._mi(rend),
-                           allow_overlap=allow_overlap)
-        if got is None:
-            return None
-        w, (x, y1, y2, z) = got
-        return (w, (self.L - x, self.L - y1, self.L - y2, self.L - z))

@@ -3,7 +3,10 @@
 With all failures on the s-t path, the hard replacement paths visit two of
 the cut intervals in either order.  ``snake_through`` computes the best such
 path forced through a chosen vertex or edge by composing one B-type and one
-A-type oracle value around the crossing point.  ``PairProbeLoop`` answers
+A-type oracle value around the crossing point.  ``_second_visit`` covers the
+paths that cross it on their second visit; a path that crosses it on its
+first visit is, read from t back to s, a second-visit path on the mirrored
+path, so one rule serves both.  ``PairProbeLoop`` answers
 every middle failure between a fixed outer pair by probing middle edges; the
 squared-interval potential drops geometrically, so O(log) stages suffice.
 """
@@ -13,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..frp2 import OffPathMatrix, path_prefix
+from ..frp2 import OffPathMatrix, PathCoords, mirror_coords, path_prefix
 from ..weights import CompositeWeight as W
-from .oracles import MirrorOracleB, OracleA, OracleB, PathCoords, mirror_coords
+from .oracles import OracleA, OracleB
 from .partition import PaddedInstance
 
 
@@ -48,15 +51,23 @@ class SnakeHit:
         return self.length.base
 
 
-class SnakeOracles:
-    """The A / B / mirrored-B trio over one padded instance."""
+class IntervalOracles:
+    """Oracles A and B over one set of path coordinates."""
+
+    def __init__(self, coords: PathCoords, k: int):
+        self.a = OracleA(coords, k)
+        self.b = OracleB(self.a)
+        self.L = coords.L
+
+
+class SnakeOracles(IntervalOracles):
+    """A and B over one padded instance, and ``mirror``: the pair over the
+    same path read from t back to s."""
 
     def __init__(self, inst: PaddedInstance, matrix: OffPathMatrix):
         coords = PathCoords(path_prefix(inst.graph, inst.path_eids), matrix.dist)
-        self.a = OracleA(coords, inst.k)
-        self.b = OracleB(self.a)
-        self.bm = MirrorOracleB(mirror_coords(coords), inst.k)
-        self.L = coords.L
+        super().__init__(coords, inst.k)
+        self.mirror = IntervalOracles(mirror_coords(coords), inst.k)
 
 
 def _intervals_of_cuts(cuts: list[int], L: int) -> list[Seg]:
@@ -77,67 +88,54 @@ def snake_through(oracles: SnakeOracles, cuts: list[int], x) -> Optional[SnakeHi
     a cut.
     """
     L = oracles.L
-    d1, dw = cuts[0], cuts[-1]
-    ivs = _intervals_of_cuts(cuts, L)
-    first, last = ivs[0], ivs[-1]
-    middles = ivs[1:-1]
-    if not middles:
-        return None
     kind, pos = x
-    if kind == "e":
-        xi = next(i for i, (lo, hi) in enumerate(middles) if lo <= pos and pos + 1 <= hi)
-        left_part: Seg = (middles[xi][0], pos)
-        right_part: Seg = (pos + 1, middles[xi][1])
-        cross = oracles.a.c.walk(pos, pos + 1)
-    else:
-        xi = next(i for i, (lo, hi) in enumerate(middles) if lo <= pos <= hi)
-        left_part = (middles[xi][0], pos)
-        right_part = (pos, middles[xi][1])
-        cross = W(0, 0)
+    best = _second_visit(oracles, cuts, x)
+    # x's interval visited first: the second-visit path of the mirror,
+    # whose visits come back flipped and in the other order
+    got = _second_visit(oracles.mirror, [L - 1 - c for c in reversed(cuts)],
+                        (kind, L - pos if kind == "v" else L - 1 - pos))
+    if got is not None and (best is None or got.length < best.length):
+        (lo1, hi1), (lo2, hi2) = got.visits
+        best = SnakeHit(got.length, ((L - hi2, L - lo2), (L - hi1, L - lo1)))
+    return best
 
+
+def _second_visit(side: IntervalOracles, cuts: list[int], x) -> Optional[SnakeHit]:
+    """Best two-visit path through ``x`` that crosses it on its second visit.
+
+    The source leg visits another middle interval and converges into one
+    part of x's interval (oracle B); the path crosses x to the other part
+    and leaves it from the anchor next to x for the last interval (oracle A).
+    """
+    ivs = _intervals_of_cuts(cuts, side.L)
+    last, middles = ivs[-1], ivs[1:-1]
+    kind, pos = x
+    e = 1 if kind == "e" else 0  # x spans positions pos .. pos + e
+    lo, hi = next(iv for iv in middles if iv[0] <= pos and pos + e <= iv[1])
+    left_part: Seg = (lo, pos)
+    right_part: Seg = (pos + e, hi)
+    cross = side.a.c.walk(pos, pos + e)
     best: Optional[SnakeHit] = None
-
-    def consider(total: W, v1: Seg, v2: Seg) -> None:
-        nonlocal best
-        if best is None or total < best.length:
-            best = SnakeHit(total, (v1, v2))
-
-    # heads/tails of the crossing interval do not depend on the other visit
-    tail_rr = oracles.a.query("r", "r", left_part, last)
-    tail_lr = oracles.a.query("l", "r", right_part, last)
-    head_lr = oracles.a.query("l", "r", first, left_part)
-    head_ll = oracles.a.query("l", "l", first, right_part)
-
-    # the other visit may share the crossing interval (two events, one
-    # interval), so the pair enumeration includes ji == xi with overlapping
-    # index ranges
-    for other in middles:
-        # x's interval visited second, crossing right to left
-        got = oracles.b.query("l", d1, other, right_part, allow_overlap=True)
-        if got is not None and tail_rr is not None:
-            (bw, (_, y1, y2, z)), (aw, (x2, _)) = got, tail_rr
-            consider(bw + cross + aw,
-                     (min(y1, y2), max(y1, y2)), (x2, z))
-        # x's interval visited second, crossing left to right
-        got = oracles.b.query("r", d1, other, left_part, allow_overlap=True)
-        if got is not None and tail_lr is not None:
-            (bw, (_, y1, y2, z)), (aw, (x2, _)) = got, tail_lr
-            consider(bw + cross + aw,
-                     (min(y1, y2), max(y1, y2)), (z, x2))
-        # x's interval visited first, crossing left to right
-        if head_lr is not None:
-            tail = oracles.bm.query("l", dw, other, right_part, allow_overlap=True)
-            if tail is not None:
-                (aw, (_, y1)), (bw, (_, j1, j2, dv)) = head_lr, tail
-                consider(aw + cross + bw,
-                         (y1, dv), (min(j1, j2), max(j1, j2)))
-        # x's interval visited first, crossing right to left
-        if head_ll is not None:
-            tail = oracles.bm.query("r", dw, other, left_part, allow_overlap=True)
-            if tail is not None:
-                (aw, (_, y1)), (bw, (_, j1, j2, dv)) = head_ll, tail
-                consider(aw + cross + bw,
-                         (dv, y1), (min(j1, j2), max(j1, j2)))
+    # crossing right to left, then left to right: B converges into one part
+    # at the anchor facing x, A leaves the other part from its anchor facing x
+    for into, out, anchor in ((right_part, left_part, "r"), (left_part, right_part, "l")):
+        tail = side.a.query(anchor, "r", out, last)
+        if tail is None:
+            continue
+        aw, (x2, _) = tail
+        # the other visit may share the crossing interval (two events, one
+        # interval), so the enumeration includes x's own interval with
+        # overlapping index ranges
+        for other in middles:
+            got = side.b.query("l" if anchor == "r" else "r", cuts[0], other, into,
+                               allow_overlap=True)
+            if got is None:
+                continue
+            bw, (_, y1, y2, z) = got
+            total = bw + cross + aw
+            if best is None or total < best.length:
+                best = SnakeHit(total, ((min(y1, y2), max(y1, y2)),
+                                        (min(x2, z), max(x2, z))))
     return best
 
 

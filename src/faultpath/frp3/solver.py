@@ -167,47 +167,41 @@ class Frp3Solver:
             return
         aux = self.aux
         P = self.inst
-        parts: dict = {}     # partial values per key
+        runs: dict = {}      # key -> (separator vertex, [full, s->m, m->t] minima)
         level_batch: dict = {}
         for key in keys:
             _, le, re, f = key
             i, j, m_pos = self.partition.separator(le, re)
             ln, _ = self.frp2.h_dso.query_edge_failure(
                 aux.term_minus[le], aux.term_plus[re], f)
-            parts[key] = {"v1": aux.two_term_value(ln), "m": m_pos, "i": i}
+            runs[key] = (P.path_verts[m_pos], [aux.two_term_value(ln), None, None])
             level_batch.setdefault((i, 0), {}).setdefault(le, []).append(key)
             level_batch.setdefault((i, 1), {}).setdefault(re, []).append(key)
 
         for (i, parity), by_del in sorted(level_batch.items()):
             del_positions = sorted(by_del)
 
-            def on_leaf(k: int, dso: IncrementalDso, parity=parity,
+            def on_leaf(k: int, dso: IncrementalDso,
                         del_positions=del_positions, by_del=by_del) -> None:
                 for key in by_del[del_positions[k]]:
                     _, le, re, f = key
-                    rec = parts[key]
-                    m_vtx = P.path_verts[rec["m"]]
+                    m_vtx, run = runs[key]
                     dm = aux.term_minus[le]
                     dp = aux.term_plus[re]
                     full, _ = dso.query_edge_failure(dm, dp, f)
                     sm, _ = dso.query_edge_failure(dm, m_vtx, f)
                     mt, _ = dso.query_edge_failure(m_vtx, dp, f)
-                    tag = "h0" if parity == 0 else "h1"
-                    rec[tag + "_full"] = aux.two_term_value(full)
-                    rec[tag + "_sm"] = aux.one_term_value(sm)
-                    rec[tag + "_mt"] = aux.one_term_value(mt)
+                    run[0] = _omin(run[0], aux.two_term_value(full))
+                    run[1] = _omin(run[1], aux.one_term_value(sm))
+                    run[2] = _omin(run[2], aux.one_term_value(mt))
 
             sweep = DeletionSweep(self.levels[(i, parity)],
                                   [P.path_eids[p] for p in del_positions])
             build_timeline(sweep, on_leaf=on_leaf)
 
         for key in keys:
-            rec = parts[key]
-            v4 = _oadd(_omin(rec.get("h0_sm"), rec.get("h1_sm")),
-                       _omin(rec.get("h0_mt"), rec.get("h1_mt")))
-            ans = _omin(_omin(rec["v1"], rec.get("h0_full")),
-                        _omin(rec.get("h1_full"), v4))
-            answers[key] = ans
+            full, sm, mt = runs[key][1]
+            answers[key] = _omin(full, _oadd(sm, mt))
 
     # -- pass 3: all three on the path ---------------------------------------
 

@@ -101,7 +101,7 @@ class ShortestPathTree:
         if self._euler is not None:
             return
         n = len(self.dist)
-        children = _children_of(self.parent)
+        children = self.children()
 
         euler: list[int] = []
         edepth: list[int] = []

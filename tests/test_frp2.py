@@ -191,6 +191,53 @@ def test_rp2_paths_replay_exactly(family, n, seed):
         assert total == want
 
 
+def test_both_on_backward_order_wins():
+    # leave at 1, re-enter at 3, walk back over edge 2 to vertex 2, leave
+    # again and re-enter at t: only the backward order converges at a >= b
+    g = perturb_and_verify(8, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 4, 2), (4, 5, 2),
+                               (1, 6, 2), (6, 3, 3), (2, 7, 4), (7, 5, 4)], seed=0)
+    sol = Frp2Solver(g, 0, 5)
+    d1, d2 = sol.path_eids[1], sol.path_eids[3]
+    got = sol.both_on_path(1, 3)
+    assert got.winner == ("rev", 1, 3, 1, 3, 2, 5)
+    assert got.base == 17 == dist_avoiding(g, 0, 5, [d1, d2]).base
+    p = sol.rp2_path(1, d2)
+    assert d1 not in p and d2 not in p
+    x = 0
+    for eid in p:
+        x = g.edges[eid].other(x)
+    assert x == 5
+    assert sum(g.edges[eid].w.base for eid in p) == 17
+
+
+@pytest.mark.parametrize("family,n,seed", [(detour_rich, 12, 0), (random_connected, 15, 6)],
+                         ids=["detour_rich-12-0", "random_connected-15-6"])
+def test_suffix_hookups_vs_brute(family, n, seed):
+    # U'[r][b], read off the mirrored table, is the best off(b, z) + the
+    # path from z to t over z > r, the largest z winning ties
+    sol = Frp2Solver(family(n, seed=seed), 0, n - 1)
+    L = len(sol.path_eids)
+    m = sol.matrix
+    mirrored = sol.hookup_tables[1]
+    checked = 0
+    for r in range(L):
+        for b in range(r + 1):
+            want = None
+            for z in range(L, r, -1):
+                d = m.d(b, z)
+                if d is not None:
+                    cand = d + (sol.pre[L] - sol.pre[z])
+                    if want is None or cand < want[0]:
+                        want = (cand, z)
+            got = mirrored[L - 1 - r][L - b]
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and (got[0], L - got[1]) == want
+                checked += 1
+    assert checked > 0
+
+
 def test_w_recurrence_monotonicity():
     g = random_connected(15, seed=6)
     sol = Frp2Solver(g, 0, 14)
@@ -198,9 +245,8 @@ def test_w_recurrence_monotonicity():
     m = sol.matrix
     for l in range(h - 1):
         for r in range(l + 1, h):
-            u_row = sol._u_rows.get(l)
             sol.both_on_path(l, r)
-            u_row = sol._u_rows[l]
+            u_row = sol.hookup_tables[0][l]
             # recompute W backward row and check W(b) <= U(b), equality at r
             wrow = {}
             for b in range(r, l, -1):

@@ -14,7 +14,7 @@ def make(n=18, seed=3, family=random_connected):
     inst = pad_to_power_of_two(g, 0, n - 1, seed=seed)
     matrix = OffPathMatrix(build_H(inst.graph, inst.path_verts, inst.path_eids))
     snakes = SnakeOracles(inst, matrix)
-    return g, inst, matrix, snakes.a.c, snakes.a, snakes.b, snakes.bm
+    return g, inst, matrix, snakes.a.c, snakes.a, snakes.b, snakes.mirror.b
 
 
 def brute_a(coords, sig, tau, iv1, iv2):
@@ -216,7 +216,9 @@ def test_mirror_b_vs_brute():
         if max(loj, loe) <= min(hij, hie):
             continue
         sig = rng.choice("lr")
-        got = obm.query(sig, d3, (loj, hij), (loe, hie))
+        # oracle B on the mirrored path: position i is L - i there
+        got = obm.query("r" if sig == "l" else "l", L - 1 - d3,
+                        (L - hij, L - loj), (L - hie, L - loe))
         want = brute_b_mirror(coords, sig, d3, (loj, hij), (loe, hie))
         if want is None:
             assert got is None
