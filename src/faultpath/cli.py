@@ -534,7 +534,12 @@ def bench_dso_build(sizes: list[int], seed: int, repeats: int) -> dict:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
+    try:
+        sizes = [int(x) for x in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError(f"--sizes {args.sizes} is not a comma-separated list of integers")
+    if args.repeats < 1:
+        raise UsageError(f"--repeats {args.repeats} must be at least 1")
     if args.suite == "frp3":
         report = bench_frp3(sizes, args.seed, args.repeats, args.budget)
     elif args.suite == "dso-build":

@@ -2,9 +2,9 @@
 
 Layout (little endian): magic, format version, vertex count, a reserved
 int32 (written as 0, ignored on load), edge count, graph section (edge ids
-kept sparse), then the interval table.  Trees and LCA structures are
-rebuilt on load.  The table must hold every connected pair u < v < n once
-and no other pair, and each pair's anchors once each and no other key.
+kept sparse), then the interval table.  Trees and their ancestor indexes
+are rebuilt on load.  The table must hold every connected pair u < v < n
+once and no other pair, and each pair's anchors once each and no other key.
 Every entry's vertices must lie in range and its bridge must be an edge of
 the loaded graph joining them; the entry's length is then re-derived and
 checked against the dump, and the entry must avoid its own interval.  The

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .dso.static import IncrementalDso
@@ -283,44 +284,32 @@ class Frp2Solver:
             raise Disconnected(f"{s} and {t} are disconnected")
         self.path_verts = spt.path_vertices(t)
         self.path_eids = spt.path_edges(t)
-        self._aux = aux
+        if aux is not None:
+            self.aux = aux
         self._spt = spt
         self.dist_st: W = spt.dist[t]
         self.pos_of_eid = {eid: k for k, eid in enumerate(self.path_eids)}
         self.pre = path_prefix(graph, self.path_eids)
-        self._frp1: Optional[Frp1Result] = None
-        self._h_dso: Optional[IncrementalDso] = None
-        self._matrix: Optional[OffPathMatrix] = None
-        self._hookups: Optional[tuple[list, list]] = None
         self._rp_sets: dict[int, frozenset] = {}
 
     # -- cached parts ------------------------------------------------------
 
-    @property
+    @cached_property
     def frp1(self) -> Frp1Result:
-        if self._frp1 is None:
-            self._frp1 = frp1_all(self.graph, self.s, self.t, self._spt)
-        return self._frp1
+        return frp1_all(self.graph, self.s, self.t, self._spt)
 
-    @property
+    @cached_property
     def aux(self) -> AuxGraphH:
-        if self._aux is None:
-            self._aux = build_H(self.graph, self.path_verts, self.path_eids,
-                                seed=self.seed)
-        return self._aux
+        return build_H(self.graph, self.path_verts, self.path_eids, seed=self.seed)
 
-    @property
+    @cached_property
     def h_dso(self) -> IncrementalDso:
-        if self._h_dso is None:
-            self._h_dso = IncrementalDso.build(self.aux.graph, seed=self.seed,
-                                               forest=self.aux.forest)
-        return self._h_dso
+        return IncrementalDso.build(self.aux.graph, seed=self.seed,
+                                    forest=self.aux.forest)
 
-    @property
+    @cached_property
     def matrix(self) -> OffPathMatrix:
-        if self._matrix is None:
-            self._matrix = OffPathMatrix(self.aux)
-        return self._matrix
+        return OffPathMatrix(self.aux)
 
     def _term_dist(self, d1_pos: int) -> list[Optional[W]]:
         """H distances from d1's minus-terminal to everything."""
@@ -328,13 +317,11 @@ class Frp2Solver:
 
     # -- the U / U' / W machinery -------------------------------------------
 
-    @property
+    @cached_property
     def hookup_tables(self) -> tuple[list, list]:
         """``hookups`` on the path (U) and on the mirrored path (U')."""
-        if self._hookups is None:
-            c = PathCoords(self.pre, self.matrix.dist)
-            self._hookups = (hookups(c), hookups(mirror_coords(c)))
-        return self._hookups
+        c = PathCoords(self.pre, self.matrix.dist)
+        return hookups(c), hookups(mirror_coords(c))
 
     def both_on_path(self, l: int, r: int) -> BothOnAnswer:
         """Exact answer for failures at path positions l < r."""

@@ -234,7 +234,7 @@ def pf_intersects_interval(pf: ProperForm, forest: SptForest, u: int, v: int,
                            pa: int, pb: int) -> bool:
     """Does the proper form share an edge with positions [pa, pb] of pi(u, v)?
 
-    Constant-time LCA test; ``pf`` must be oriented u -> v and its prefix and
+    O(log n) LCA test; ``pf`` must be oriented u -> v and its prefix and
     suffix must be tree paths of ``forest``, the forest of the interval.
     """
     spt_u = forest.spts[u]

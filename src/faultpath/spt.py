@@ -1,9 +1,10 @@
-"""Dijkstra, shortest path trees, and constant-time LCA machinery.
+"""Dijkstra, shortest path trees, and their ancestor index.
 
 Every tree is rooted at its Dijkstra source and covers exactly the reachable
-component.  LCA uses an Euler tour plus sparse table (O(1) query); level
-ancestors use binary lifting (O(log n) query).  Both are optional because
-plain distance runs do not need them.
+component.  One binary-lifting table answers level ancestors and LCA, each
+in O(log n); it is optional because plain distance runs do not need it.
+Every tree-edge question (is e a tree edge, which end hangs below it, which
+vertices sit below it) is read off ``lower_end`` and ``subtree``.
 
 ``without_tree_edge`` gives the tree of the same source in G - e for one
 edge e.  Removing a tree edge can only change the vertices below it, so it
@@ -21,7 +22,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Optional
 
-from .graph import Graph
+from .graph import Edge, Graph
 from .weights import CompositeWeight as W
 
 
@@ -48,7 +49,7 @@ class ShortestPathTree:
 
     __slots__ = (
         "source", "dist", "parent", "parent_edge", "depth", "tied",
-        "_children", "_euler", "_first", "_edepth", "_sparse", "_log", "_lift",
+        "_children", "_lift",
     )
 
     def __init__(self, source: int, dist, parent, parent_edge, depth, tied: bool):
@@ -59,11 +60,6 @@ class ShortestPathTree:
         self.depth: list[int] = depth
         self.tied = tied
         self._children = None
-        self._euler = None
-        self._first = None
-        self._edepth = None
-        self._sparse = None
-        self._log = None
         self._lift = None
 
     # -- structure -----------------------------------------------------
@@ -95,65 +91,51 @@ class ShortestPathTree:
             self._children = _children_of(self.parent)
         return self._children
 
+    def lower_end(self, e: Edge) -> Optional[int]:
+        """The endpoint of edge ``e`` that hangs below it, None when ``e`` is
+        not a tree edge."""
+        if self.parent_edge[e.v] == e.eid:
+            return e.v
+        if self.parent_edge[e.u] == e.eid:
+            return e.u
+        return None
+
+    def subtree(self, v: int) -> list[int]:
+        """The vertices below v, v included, in breadth-first order."""
+        children = self.children()
+        sub = [v]
+        for z in sub:
+            sub.extend(children[z])
+        return sub
+
     # -- LCA / level ancestor -------------------------------------------
 
     def build_lca(self) -> None:
-        if self._euler is not None:
+        """Binary lifting: row k maps each vertex to its 2^k-th ancestor;
+        roots (and unreachable vertices) lift to themselves."""
+        if self._lift is not None:
             return
         n = len(self.dist)
-        children = self.children()
-
-        euler: list[int] = []
-        edepth: list[int] = []
-        first = [-1] * n
-        # iterative DFS keeping the Euler tour
-        stack: list[tuple[int, int]] = [(self.source, 0)]
-        while stack:
-            v, ci = stack.pop()
-            if ci == 0:
-                first[v] = len(euler)
-            euler.append(v)
-            edepth.append(self.depth[v])
-            if ci < len(children[v]):
-                stack.append((v, ci + 1))
-                stack.append((children[v][ci], 0))
-
-        m = len(euler)
-        log = [0] * (m + 1)
-        for i in range(2, m + 1):
-            log[i] = log[i >> 1] + 1
-        sparse = [list(range(m))]
-        k = 1
-        while (1 << k) <= m:
-            prev = sparse[k - 1]
-            half = 1 << (k - 1)
-            row = [0] * (m - (1 << k) + 1)
-            for i in range(len(row)):
-                a, b = prev[i], prev[i + half]
-                row[i] = a if edepth[a] <= edepth[b] else b
-            sparse.append(row)
-            k += 1
-
-        self._euler, self._first, self._edepth = euler, first, edepth
-        self._sparse, self._log = sparse, log
-
-        # binary lifting for level ancestors; roots lift to themselves
-        maxk = max(1, max(edepth).bit_length())
         base = [self.parent[v] if self.parent[v] >= 0 else v for v in range(n)]
         lift = [base]
-        for k in range(1, maxk):
-            prev = lift[k - 1]
+        for _ in range(1, max(1, max(self.depth).bit_length())):
+            prev = lift[-1]
             lift.append([prev[prev[v]] for v in range(n)])
         self._lift = lift
 
     def lca(self, a: int, b: int) -> int:
-        l, r = self._first[a], self._first[b]
-        if l > r:
-            l, r = r, l
-        k = self._log[r - l + 1]
-        x = self._sparse[k][l]
-        y = self._sparse[k][r - (1 << k) + 1]
-        return self._euler[x] if self._edepth[x] <= self._edepth[y] else self._euler[y]
+        """Deepest common ancestor of a and b (both reachable)."""
+        depth = self.depth
+        if depth[a] > depth[b]:
+            a = self.ancestor_at_depth(a, depth[b])
+        else:
+            b = self.ancestor_at_depth(b, depth[a])
+        if a == b:
+            return a
+        for row in reversed(self._lift):
+            if row[a] != row[b]:
+                a, b = row[a], row[b]
+        return self._lift[0][a]
 
     def ancestor_at_depth(self, v: int, d: int) -> int:
         """Ancestor of v whose depth is d (d <= depth[v])."""
@@ -248,23 +230,14 @@ def without_tree_edge(graph: Graph, tree: ShortestPathTree, eid: int) -> Shortes
     tied result.
     """
     e = graph.edges.get(eid)
-    if e is None:
+    low = None if e is None else tree.lower_end(e)
+    if low is None:
         return tree
-    parent_edge = tree.parent_edge
-    if parent_edge[e.v] == eid:
-        low = e.v
-    elif parent_edge[e.u] == eid:
-        low = e.u
-    else:
-        return tree
-    children = tree.children()
-    sub = [low]
-    for z in sub:
-        sub.extend(children[z])
+    sub = tree.subtree(low)
 
     dist = list(tree.dist)
     parent = list(tree.parent)
-    parent_edge = list(parent_edge)
+    parent_edge = list(tree.parent_edge)
     depth = list(tree.depth)
     adj = graph.adj
     heap: list[tuple[int, int, int]] = []
@@ -313,8 +286,8 @@ class SptForest:
     """All-sources shortest path trees plus pair-path helpers.
 
     This is the shared substrate for proper-form tests: membership of a
-    vertex on pi(u, v), positions along it, and vertices at given positions,
-    all in O(1)-ish time.
+    vertex on pi(u, v), positions along it, and vertices at given positions.
+    Each reads u's tree alone, in O(log n) time at most.
     """
 
     __slots__ = ("graph", "spts")
@@ -337,15 +310,9 @@ class SptForest:
         return self.spts[u].depth[v]
 
     def on_path(self, u: int, v: int, z: int) -> bool:
-        """Is z a vertex of pi(u, v)?  Exact under unique shortest paths."""
-        du = self.spts[u].dist
-        if du[v] is None or du[z] is None:
-            return False
-        dz = self.spts[z].dist[v]
-        if dz is None:
-            return False
-        s = du[z] + dz
-        return s == du[v]
+        """Is z a vertex of pi(u, v), the path of u's tree?"""
+        tree = self.spts[u]
+        return tree.dist[v] is not None and tree.on_root_path(v, z)
 
     def path_pos(self, u: int, v: int, z: int) -> int:
         """Position (hops from u) of z on pi(u, v); z must be on the path."""
@@ -362,13 +329,11 @@ class SptForest:
 
     def edge_pos(self, u: int, v: int, eid: int) -> Optional[int]:
         """Position of edge ``eid`` on pi(u, v), or None if off the path."""
-        e = self.graph.edges[eid]
-        if not (self.on_path(u, v, e.u) and self.on_path(u, v, e.v)):
+        tree = self.spts[u]
+        low = tree.lower_end(self.graph.edges[eid])
+        if low is None or not tree.on_root_path(v, low):
             return None
-        lo, hi = sorted((self.path_pos(u, v, e.u), self.path_pos(u, v, e.v)))
-        if hi - lo != 1 or self.edge_at(u, v, lo) != eid:
-            return None
-        return lo
+        return tree.depth[low] - 1
 
     def path_vertices(self, u: int, v: int) -> list[int]:
         return self.spts[u].path_vertices(v)

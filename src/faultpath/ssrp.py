@@ -33,20 +33,16 @@ def ssrp2(graph: Graph, s: int, sink: Sink,
     Required triples have d1 on the tree, t in d1's subtree, and d2 on the
     replacement path pi(G - d1)(s, t); each unordered failure pair is emitted
     once.  Distances are base-channel; None marks disconnection.  ``spt`` is
-    the tree of s in ``graph``, with LCA tables, when the caller has it.
+    the tree of s in ``graph``, when the caller has it.
     """
     if spt is None:
-        spt = dijkstra(graph, s, with_lca=True)
+        spt = dijkstra(graph, s)
     tree_edges = sorted(
         spt.parent_edge[v] for v in range(graph.n)
         if v != s and spt.dist[v] is not None
     )
-    # Euler-interval subtree membership: vertex v sits under tree edge e
-    # exactly when e's lower endpoint is an ancestor of v
-    lower_of = {}
-    for eid in tree_edges:
-        e = graph.edges[eid]
-        lower_of[eid] = e.v if spt.parent[e.v] == e.u else e.u
+    # the vertices under tree edge e are the subtree of its lower endpoint
+    lower_of = {eid: spt.lower_end(graph.edges[eid]) for eid in tree_edges}
 
     stats = SsrpStats(timeline_steps=len(tree_edges))
     if not tree_edges:
@@ -55,20 +51,18 @@ def ssrp2(graph: Graph, s: int, sink: Sink,
 
     def on_leaf(k: int, dso: IncrementalDso) -> None:
         d1 = tree_edges[k]
-        root = lower_of[d1]
         f = dso.forest
-        for t in range(graph.n):
-            if t != s and spt.dist[t] is not None and spt.on_root_path(t, root):
-                if f.dist(s, t) is None:
+        for t in sorted(spt.subtree(lower_of[d1])):
+            if f.dist(s, t) is None:
+                continue
+            for d2 in f.path_edge_ids(s, t):
+                key = (min(d1, d2), max(d1, d2), t)
+                if key in seen:
                     continue
-                for d2 in f.path_edge_ids(s, t):
-                    key = (min(d1, d2), max(d1, d2), t)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    ln, _ = dso.query_edge_failure(s, t, d2)
-                    sink(d1, d2, t, None if ln is None else ln.base)
-                    stats.emitted += 1
+                seen.add(key)
+                ln, _ = dso.query_edge_failure(s, t, d2)
+                sink(d1, d2, t, None if ln is None else ln.base)
+                stats.emitted += 1
 
     build_timeline(DeletionSweep(graph, tree_edges), on_leaf=on_leaf)
     return stats
@@ -91,14 +85,8 @@ class SsrpResolver:
     def _affects(self, eid: int, t: int) -> bool:
         """Does removing ``eid`` change pi(s, t)?  True iff it is the tree
         edge above some ancestor of t."""
-        e = self.graph.edges[eid]
-        spt = self.spt
-        for lower in (e.u, e.v):
-            if (lower != self.s and spt.dist[lower] is not None
-                    and spt.parent_edge[lower] == eid
-                    and spt.on_root_path(t, lower)):
-                return True
-        return False
+        low = self.spt.lower_end(self.graph.edges[eid])
+        return low is not None and self.spt.on_root_path(t, low)
 
     def one_fault(self, eid: int, t: int) -> Optional[int]:
         row = self._one_fault.get(eid)

@@ -295,6 +295,10 @@ def without_pairs(data: bytes) -> bytes:
     pytest.param(3, [*OFFLINE, "{tri_plus_ff}", "--queries", "{q_ok}"],
                  id="timeline-not-utf8"),
     pytest.param(3, [*OFFLINE, "{tri}", "--queries", "{q_ff}"], id="queries-not-utf8"),
+    pytest.param(2, ["bench", "--suite", "dso-build", "--sizes", "12,x"],
+                 id="bench-size-not-integer"),
+    pytest.param(2, ["bench", "--suite", "dso-build", "--sizes", "8", "--repeats", "0"],
+                 id="bench-repeats-zero"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     paths = {}

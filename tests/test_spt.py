@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -38,18 +39,46 @@ def test_spt_consistency(g_mid):
         assert t.depth[v] == t.depth[t.parent[v]] + 1
 
 
-def test_lca_and_level_ancestor_match_brute_force():
-    rng = random.Random(5)
-    for seed in range(4):
-        g = random_connected(18, seed=seed)
-        t = dijkstra(g, 0, with_lca=True)
-        for _ in range(200):
-            a, b = rng.randrange(18), rng.randrange(18)
+def _two_components():
+    # random_connected(8, 1) on vertices 0..7 and random_connected(7, 2) on 8..14
+    g = Graph(15)
+    for off, part in ((0, random_connected(8, 1)), (8, random_connected(7, 2))):
+        for e in part.edges.values():
+            g.add_edge(e.u + off, e.v + off, e.w)
+    return g
+
+
+def _check_lca_and_level_ancestor(t, pairs):
+    for a, b in pairs:
+        if t.reachable(a) and t.reachable(b):
             assert t.lca(a, b) == brute_lca(t, a, b)
-        for v in range(18):
+    for v in range(len(t.dist)):
+        if t.reachable(v):
             pv = t.path_vertices(v)
             for d in range(len(pv)):
                 assert t.ancestor_at_depth(v, d) == pv[d]
+
+
+def test_lca_and_level_ancestor_match_brute_force():
+    rng = random.Random(5)
+    for seed in range(4):
+        t = dijkstra(random_connected(18, seed=seed), 0, with_lca=True)
+        _check_lca_and_level_ancestor(
+            t, [(rng.randrange(18), rng.randrange(18)) for _ in range(200)])
+    # a deep tree: depth 47 from source 0 needs six lifting rows
+    g = detour_rich(48, 0)
+    depths = []
+    for s in range(0, g.n, 5):
+        t = dijkstra(g, s, with_lca=True)
+        depths.append(max(t.depth))
+        _check_lca_and_level_ancestor(t, itertools.product(range(g.n), repeat=2))
+    assert max(depths) == 47
+    # two components: only pairs inside the source's component are asked
+    g = _two_components()
+    for s in (0, 8):
+        t = dijkstra(g, s, with_lca=True)
+        assert sum(t.reachable(v) for v in range(g.n)) == (8 if s == 0 else 7)
+        _check_lca_and_level_ancestor(t, itertools.product(range(g.n), repeat=2))
 
 
 def test_on_root_path_and_share_edge():
@@ -60,6 +89,7 @@ def test_on_root_path_and_share_edge():
         on = set(pv)
         for z in range(15):
             assert t.on_root_path(v, z) == (z in on)
+        assert sorted(t.subtree(v)) == [w for w in range(15) if v in t.path_vertices(w)]
         # segment sharing against explicit edge sets
         for i in range(len(pv)):
             for j in range(i, len(pv)):
@@ -67,6 +97,9 @@ def test_on_root_path_and_share_edge():
                 for w in range(15):
                     expl = bool(seg.intersection(t.path_edges(w)))
                     assert t.root_paths_share_edge(w, pv[i], pv[j]) == expl
+    for eid, e in g.edges.items():
+        below = [v for v in range(15) if v != 0 and t.path_edges(v)[-1] == eid]
+        assert t.lower_end(e) == (below[0] if below else None)
 
 
 def test_forest_path_positions(g_mid):
@@ -203,16 +236,16 @@ def test_tied_flag_cases():
 
 
 def test_edge_pos_matches_path_edge_list():
-    g = random_connected(20, seed=0)
-    f = SptForest.build(g)
-    on_path = 0
-    for u in range(g.n):
-        for v in range(g.n):
-            if f.dist(u, v) is None:
-                continue
-            ids = f.path_edge_ids(u, v)
-            for eid in g.edges:
-                want = ids.index(eid) if eid in ids else None
-                assert f.edge_pos(u, v, eid) == want
-                on_path += want is not None
-    assert on_path > 1000
+    # a connected graph, two components, and the auxiliary graph H
+    for g, least in ((random_connected(20, seed=0), 1000), (_two_components(), 100),
+                     (Frp2Solver(detour_rich(12, 0), 0, 11).aux.graph, 1000)):
+        f = SptForest.build(g)
+        on_path = 0
+        for u in range(g.n):
+            for v in range(g.n):
+                ids = [] if f.dist(u, v) is None else f.path_edge_ids(u, v)
+                for eid in g.edges:
+                    want = ids.index(eid) if eid in ids else None
+                    assert f.edge_pos(u, v, eid) == want
+                    on_path += want is not None
+        assert on_path > least
