@@ -533,6 +533,47 @@ def bench_dso_build(sizes: list[int], seed: int, repeats: int) -> dict:
     return _cpu_report("dso-build", [(n, times) for n, _, times in state])
 
 
+def bench_frp2(sizes: list[int], seed: int, repeats: int) -> dict:
+    """Per-run CPU time of ``frp --faults 2`` answering at each size.
+
+    A run builds ``Frp2Solver`` on ``detour_rich(n, seed)`` with s = 0 and
+    t = n - 1 and answers every required pair; the naive column is one
+    reference Dijkstra per pair, and a mismatch is a pair whose answers
+    differ.  The discipline is ``dso-build``'s: CPU time, sizes timed
+    round-robin.  Each row also counts the pairs of H's DSO table that the
+    answers filled against the connected pairs it would hold when full.
+    """
+    state = [(n, families.detour_rich(n, seed=seed), [], []) for n in sizes]
+    sols: dict = {}
+    got: dict = {}   # n -> [(pair, answer)] of the last run
+    want: dict = {}  # n -> [naive answer] in the same order
+    for _ in range(repeats):
+        for n, g, times, naive in state:
+            def answer_all():
+                sols[n] = sol = Frp2Solver(g, 0, n - 1, seed=seed)
+                got[n] = [(p, sol.answer_pair(*p)) for p in iter_required_pairs(sol)]
+
+            def answer_naive():
+                want[n] = [dist_avoiding(g, 0, n - 1, p) for p, _ in got[n]]
+
+            times.append(_cpu_seconds(answer_all))
+            naive.append(_cpu_seconds(answer_naive))
+    report = _cpu_report("frp2", [(n, times) for n, _, times, _ in state])
+    for row, (n, _, _, naive) in zip(report["sizes"], state):
+        h_dso = sols[n].h_dso
+        hn = h_dso.graph.n
+        row.update({
+            "pairs": len(got[n]),
+            "mismatches": sum(1 for (_, d), w in zip(got[n], want[n])
+                              if d != (None if w is None else w.base)),
+            "naive_median": round(statistics.median(naive), 5),
+            "h_pairs_filled": len(h_dso.table),
+            "h_pairs_held": sum(1 for u in range(hn) for v in range(u + 1, hn)
+                                if h_dso.forest.dist(u, v) is not None),
+        })
+    return report
+
+
 def cmd_bench(args) -> int:
     try:
         sizes = [int(x) for x in args.sizes.split(",")]
@@ -544,6 +585,8 @@ def cmd_bench(args) -> int:
         report = bench_frp3(sizes, args.seed, args.repeats, args.budget)
     elif args.suite == "dso-build":
         report = bench_dso_build(sizes, args.seed, args.repeats)
+    elif args.suite == "frp2":
+        report = bench_frp2(sizes, args.seed, args.repeats)
     else:
         report = bench_dso_incremental(sizes, args.seed, args.repeats)
     text = json.dumps(report, indent=1, sort_keys=True)
@@ -624,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="runtime scaling measurements")
-    p.add_argument("--suite", choices=("frp3", "dso-incremental", "dso-build"),
+    p.add_argument("--suite", choices=("frp3", "frp2", "dso-incremental", "dso-build"),
                    required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--seed", type=int, default=0)

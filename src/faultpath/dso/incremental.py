@@ -272,6 +272,8 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
         raise DuplicateEdge("self-loops are not allowed")
     if g.has_endpoints(x, y):
         raise DuplicateEdge(f"({x}, {y}) already present")
+    # every old pair is read below; fill an on-demand table one source at a time
+    dso.complete()
     if tie is None:
         tie = dso.ties.next()
     w = W(w_base, tie)

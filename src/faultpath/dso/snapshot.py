@@ -30,6 +30,8 @@ class SnapshotError(ValueError):
 
 
 def save_dso(dso: IncrementalDso, path: str) -> None:
+    """Write ``dso``, first filling every pair of an on-demand table."""
+    dso.complete()
     out = [MAGIC, struct.pack("<HIiI", FORMAT, dso.graph.n, 0, len(dso.graph.edges))]
     for eid in sorted(dso.graph.edges):
         e = dso.graph.edges[eid]

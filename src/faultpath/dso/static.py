@@ -14,6 +14,15 @@ such tree comes from ``spt.without_tree_edge``: only the subtree below e is
 searched again, and every other vertex keeps its path from u's tree.  Each
 detour is read off its tree as a proper form (the forms Bernstein and
 Karger, SODA 2009, build their oracle from); a tied forest raises TieDetected.
+
+A table can also be filled on demand (``IncrementalDso.on_demand``): a
+pair's entries are computed the first time the pair is read, from the same
+routine, with one G - e tree cache per source read.  The two-failure solver
+uses it on its auxiliary graph, whose answers read a few of its pairs.  A
+reader of every pair completes the table first, source by source, keeping
+one source's trees alive at a time: ``build`` is exactly that completion,
+and ``insert_edge`` and ``save_dso`` complete an on-demand table before they
+read it, so a snapshot is never partial.
 """
 from __future__ import annotations
 
@@ -95,12 +104,55 @@ def replacement_forms(forest: SptForest, u: int, v: int, trees: dict):
     return out
 
 
+class PairTable(dict):
+    """``table[(u, v)]`` (u < v) computes a pair's anchored entries on its
+    first read and keeps them.  A pair with no path raises KeyError and is
+    not stored.  ``dict.get`` and ``in`` skip the fill, so callers read
+    through ``[]``.
+    """
+
+    __slots__ = ("forest", "_trees")
+
+    def __init__(self, forest: SptForest):
+        super().__init__()
+        self.forest = forest
+        self._trees: dict[int, dict] = {}  # source u -> its G - e trees
+
+    def __missing__(self, pair: tuple[int, int]) -> dict:
+        u, v = pair
+        f = self.forest
+        if not 0 <= u < v < f.graph.n or f.dist(u, v) is None:
+            raise KeyError(pair)
+        sub = self[pair] = _pair_entries(f, u, v, self._trees.setdefault(u, {}))
+        return sub
+
+    def filled(self) -> dict:
+        """Every connected pair in (u, v) order, the pairs read so far kept.
+
+        Sources are filled one at a time and each one's G - e trees are
+        dropped when it is done, so at most one source's trees are alive.
+        """
+        f = self.forest
+        n = f.graph.n
+        out: dict = {}
+        for u in range(n):
+            du = f.spts[u].dist
+            trees = self._trees.pop(u, {})
+            for v in range(u + 1, n):
+                if du[v] is None:
+                    continue
+                sub = self.get((u, v))  # no fill: a miss is filled below
+                out[(u, v)] = _pair_entries(f, u, v, trees) if sub is None else sub
+        return out
+
+
 class IncrementalDso:
     """All-pairs interval-avoidance table plus per-source trees.
 
     ``table[(u, v)][(i, j)]`` (u < v) holds the entry for the interval
     [u + i, v - j] of pi(u, v), as a ProperForm or None.  Every stored form
-    is made against ``forest``; insertions replace both together.
+    is made against ``forest``; insertions replace both together.  The
+    table is a plain dict once full, or a ``PairTable`` while on demand.
     """
 
     __slots__ = ("graph", "forest", "table", "ties")
@@ -116,21 +168,26 @@ class IncrementalDso:
     @classmethod
     def build(cls, graph: Graph, seed: int = 0,
               forest: Optional[SptForest] = None) -> "IncrementalDso":
-        """``forest`` is graph's all-sources forest when the caller has it."""
+        """Every pair's entries, filled source by source.  ``forest`` is
+        graph's all-sources forest when the caller has it."""
+        dso = cls.on_demand(graph, seed, forest)
+        dso.complete()
+        return dso
+
+    @classmethod
+    def on_demand(cls, graph: Graph, seed: int = 0,
+                  forest: Optional[SptForest] = None) -> "IncrementalDso":
+        """``build`` with a table that fills each pair on its first read."""
         if forest is None:
             forest = SptForest.build(graph)
         if any(tree.tied for tree in forest.spts):
             raise TieDetected("the graph has two shortest paths between some pair")
-        table: dict = {}
-        n = graph.n
-        for u in range(n):
-            spt_u = forest.spts[u]
-            trees: dict = {}  # edge id -> tree of u in G - e, for this u only
-            for v in range(u + 1, n):
-                if spt_u.dist[v] is None:
-                    continue
-                table[(u, v)] = _pair_entries(forest, u, v, trees)
-        return cls(graph, forest, table, TieSource(seed + 7919))
+        return cls(graph, forest, PairTable(forest), TieSource(seed + 7919))
+
+    def complete(self) -> None:
+        """Fill every pair of an on-demand table; a full table stays as is."""
+        if isinstance(self.table, PairTable):
+            self.table = self.table.filled()
 
     # -- helpers ----------------------------------------------------------
 

@@ -304,8 +304,9 @@ class Frp2Solver:
 
     @cached_property
     def h_dso(self) -> IncrementalDso:
-        return IncrementalDso.build(self.aux.graph, seed=self.seed,
-                                    forest=self.aux.forest)
+        # the answers read a few of H's pairs; each is filled on its first read
+        return IncrementalDso.on_demand(self.aux.graph, seed=self.seed,
+                                        forest=self.aux.forest)
 
     @cached_property
     def matrix(self) -> OffPathMatrix:

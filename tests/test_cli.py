@@ -168,6 +168,22 @@ def test_bench_dso_build_report(tmp_path):
     assert "machine" in rep and rep["slope"] is not None
 
 
+def test_bench_frp2_report(tmp_path):
+    out = tmp_path / "b.json"
+    rc = main(["bench", "--suite", "frp2", "--sizes", "8,12", "--repeats", "2",
+               "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["suite"] == "frp2"
+    assert [row["n"] for row in rep["sizes"]] == [8, 12]
+    for row in rep["sizes"]:
+        assert len(row["runs"]) == 2 and not row["timed_out"]
+        assert row["pairs"] > 0 and row["mismatches"] == 0
+        assert row["naive_median"] >= 0
+        assert 0 < row["h_pairs_filled"] < row["h_pairs_held"]
+    assert "machine" in rep and rep["slope"] is not None
+
+
 def test_bench_frp3_timed_out_row_is_empty(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     rep = bench_frp3([8], seed=0, repeats=2, budget=0.05)

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from faultpath.dso import TieDetected
+from faultpath.dso.incremental import insert_edge
+from faultpath.dso.snapshot import save_dso
 from faultpath.dso.static import IncrementalDso, IntervalNotOnPath, anchors, \
     replacement_forms
 from faultpath.families import cycle, detour_rich, path, random_connected
@@ -174,10 +178,19 @@ def test_stored_entry_hygiene(g_mid):
             assert w == pf.length
 
 
-def _frp2_aux_forest():
-    g = detour_rich(8, seed=0)
+def _frp2_aux_forest(n: int = 8):
+    g = detour_rich(n, seed=0)
     spt = dijkstra(g, 0)
     return build_H(g, spt.path_vertices(g.n - 1), spt.path_edges(g.n - 1)).forest
+
+
+def _two_components():
+    # random_connected(8, 1) on vertices 0..7 and random_connected(7, 2) on 8..14
+    g = Graph(15)
+    for off, part in ((0, random_connected(8, 1)), (8, random_connected(7, 2))):
+        for e in part.edges.values():
+            g.add_edge(e.u + off, e.v + off, e.w)
+    return g
 
 
 @pytest.mark.parametrize("make_forest", [
@@ -216,3 +229,63 @@ def test_build_rejects_tied_graph():
         g.add_edge(a, (a + 1) % 4, W(1, 0))
     with pytest.raises(TieDetected):
         IncrementalDso.build(g)
+
+
+@pytest.mark.parametrize("make_forest", [
+    lambda: _frp2_aux_forest(8),
+    lambda: _frp2_aux_forest(12),
+    lambda: SptForest.build(random_connected(20, seed=0)),
+    lambda: SptForest.build(_two_components()),
+], ids=["frp2-H8", "frp2-H12", "random20", "two-components"])
+def test_on_demand_pairs_equal_eager_build(make_forest):
+    f = make_forest()
+    eager = IncrementalDso.build(f.graph, forest=f)
+    lazy = IncrementalDso.on_demand(f.graph, forest=f)
+    assert len(lazy.table) == 0
+    pairs = list(eager.table)
+    random.Random(0).shuffle(pairs)
+    for k, pair in enumerate(pairs, 1):
+        assert lazy.table[pair] == eager.table[pair]
+        assert len(lazy.table) == k
+    assert lazy.table == eager.table
+
+
+def test_on_demand_disconnected_pair_is_absent():
+    g = _two_components()
+    dso = IncrementalDso.on_demand(g)
+    assert dso.table[(0, 1)] is not None and len(dso.table) == 1
+    for pair in ((0, 8), (7, 14), (3, 3), (5, 2), (2, 15)):
+        with pytest.raises(KeyError):
+            dso.table[pair]
+        assert len(dso.table) == 1
+
+
+def _read_a_few(dso):
+    for pair in ((0, 5), (2, 9), (0, 1), (6, 11)):
+        if dso.forest.dist(*pair) is not None:
+            dso.table[pair]
+    assert 0 < len(dso.table) <= 4
+
+
+@pytest.mark.parametrize("make_graph,x,y", [
+    (lambda: random_connected(14, seed=4), 0, 9),
+    (_two_components, 2, 11),
+], ids=["random14", "join-components"])
+def test_insert_completes_on_demand_table(make_graph, x, y):
+    eager = IncrementalDso.build(make_graph(), seed=1)
+    lazy = IncrementalDso.on_demand(make_graph(), seed=1)
+    _read_a_few(lazy)
+    assert insert_edge(lazy, x, y, 3) == insert_edge(eager, x, y, 3)
+    assert type(lazy.table) is dict
+    assert list(lazy.table) == list(eager.table)
+    assert lazy.table == eager.table
+
+
+def test_save_completes_on_demand_table(tmp_path):
+    g = random_connected(14, seed=4)
+    eager, lazy = tmp_path / "eager.dso", tmp_path / "lazy.dso"
+    save_dso(IncrementalDso.build(g, seed=1), str(eager))
+    dso = IncrementalDso.on_demand(g, seed=1)
+    _read_a_few(dso)
+    save_dso(dso, str(lazy))
+    assert lazy.read_bytes() == eager.read_bytes()
