@@ -20,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from typing import Optional
 
 from . import families
@@ -500,23 +501,33 @@ def bench_dso_incremental(sizes: list[int], seed: int, repeats: int) -> dict:
     CPU time of the single-threaded call keeps other processes on the
     machine from inflating the slope.  The sizes are timed round-robin, one
     insertion each per round, so a drift in machine speed during the run
-    hits every size alike.
+    hits every size alike.  Each row also counts the pairs and entries its
+    insertions held and kept as the old object, by identity outside the
+    timing (a null entry kept null counts).
     """
     import random as _r
     state = []
     for n in sizes:
         g = families.random_connected(n, seed=seed, extra=2 * n)
         state.append((n, IncrementalDso.build(g, seed=seed),
-                      _r.Random(f"bench-inc:{seed}:{n}"), []))
+                      _r.Random(f"bench-inc:{seed}:{n}"), [], Counter()))
     for _ in range(repeats):
-        for n, dso, rng, times in state:
+        for n, dso, rng, times, kept in state:
             while True:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v and not dso.graph.has_endpoints(u, v):
                     break
             w = rng.randint(1, 50)
+            old = dso.table
             times.append(_cpu_seconds(lambda: insert_edge(dso, u, v, w)))
-    return _cpu_report("dso-incremental", [(n, times) for n, _, _, times in state])
+            for pair, sub in dso.table.items():
+                old_sub = old.get(pair, {})  # no entry is 0, a missing key's default
+                kept.update(pairs_held=1, pairs_kept=sub is old_sub, entries_held=len(sub),
+                            entries_kept=sum(old_sub.get(k, 0) is pf for k, pf in sub.items()))
+    report = _cpu_report("dso-incremental", [(n, times) for n, _, _, times, _ in state])
+    for row, (*_, kept) in zip(report["sizes"], state):
+        row.update(kept)
+    return report
 
 
 def bench_dso_build(sizes: list[int], seed: int, repeats: int) -> dict:

@@ -10,23 +10,27 @@ Inserting an edge (x, y) of weight w does only the work the edge can change.
   tree whose ``tied`` flag is set raises TieDetected.  A kept tree needs no
   such check: no route through the edge is as short as its distances, so
   it gains no second shortest path.
-- Pairs.  A pair (u, v) keeps its old sub-table object when d(u, v) is
-  unchanged, no entry is null, and no entry is longer than the through-edge
-  floor d(u, ex) + w + d(ey, v) of each reachable orientation (ex, ey).
-  Any u-v walk through the edge costs at least the floor, so no entry can
-  improve.  An entry's prefix d(u, x') cannot shorten either: the shorter
-  prefix plus the rest of the entry would be a walk through the edge that
-  beats the entry, hence the floor; the suffix likewise.  So every entry
-  still names the same path, and a non-weak interval cannot become weak.
-  On such a pair the covering rule below would return every old entry
-  object unchanged.
-- Entries.  Every other pair is recomputed one anchored interval
-  R = [pa, pb] of its new path pi'(u, v) at a time (``pair_entry``), from
-  routes through old tree paths.  A pair whose distance is unchanged keeps
-  its path; its old entry is a candidate, and its routes are the two
-  orientations (ex, ey) of the new edge: old pi(u, ex), the edge, old
-  pi(ey, v).  A pair whose distance fell now runs through the edge; its
-  routes are its old pi(u, v), if any, and that one orientation.
+- Keep rule.  A pair (u, v) whose distance is unchanged keeps its path.
+  Its floor, the least d(u, ex) + w + d(ey, v) over the orientations
+  (ex, ey) of the new edge reachable from it, bounds every u-v walk through
+  the edge; it is None when no orientation is reachable.  An entry is kept
+  as the same object when the floor is None or the entry is non-null and
+  no longer than the floor (``_keeps_entry``).  With no floor, no walk
+  inside the pair's component uses the edge, so the entry, null or not, is
+  as before.  Otherwise no walk through the edge beats the entry, and its
+  prefix d(u, x') cannot shorten: the shorter prefix plus the rest of the
+  entry would be a walk through the edge that beats the entry, hence the
+  floor; the suffix likewise.  So the entry names the same path, and a
+  non-weak interval cannot become weak.  A pair whose entries are all kept
+  keeps its old sub-table object, any other a copy in which the rest are
+  recomputed; a pair whose distance fell recomputes every entry.
+- Recomputing.  ``pair_entry`` recomputes one anchored interval
+  R = [pa, pb] of the new path pi'(u, v) from routes through old tree
+  paths.  On an unchanged pair the old entry is a candidate (gated unless
+  its prefix and suffix kept their distances) and each reachable
+  orientation (ex, ey) is a route: old pi(u, ex), the edge, old pi(ey, v).
+  A pair whose distance fell now runs through the edge; its routes are its
+  old pi(u, v), if any, and that one orientation.
 
 The covering rule.  A route's old path shares a prefix [0, P] and a suffix
 [Q, h] of pi'(u, v), either possibly empty; p and q are the vertices where
@@ -44,9 +48,9 @@ gated through the canonicalising transform against the new graph; the
 shortest wins, the first of equal lengths.
 
 Old values are only read, new values only written (double buffering), so the
-covering rule always sees the pre-insertion structure.  Kept trees and
-reused sub-tables are shared between the old and the new structure and are
-never mutated.
+covering rule always sees the pre-insertion structure.  Kept trees,
+sub-tables and entries are shared between the old and the new structure
+and are never mutated.
 """
 from __future__ import annotations
 
@@ -74,7 +78,7 @@ class InsertionContext:
 
     __slots__ = (
         "dso", "old_forest", "old_table", "new_forest", "eid", "x", "y", "w",
-        "_pair", "_pf_cache", "_oq_cache",
+        "_pf_cache", "_oq_cache",
     )
 
     def __init__(self, dso: IncrementalDso, new_forest: SptForest,
@@ -87,7 +91,6 @@ class InsertionContext:
         self.x = x
         self.y = y
         self.w = w
-        self._pair: dict = {}
         self._pf_cache: dict = {}
         self._oq_cache: dict = {}
 
@@ -143,42 +146,35 @@ class InsertionContext:
 
     # -- per-pair geometry ------------------------------------------------
 
-    def pair_info(self, u: int, v: int):
-        info = self._pair.get((u, v))
-        if info is None:
-            info = self._build_pair_info(u, v)
-            self._pair[(u, v)] = info
-        return info
+    def orientations(self, u: int, v: int) -> list:
+        """(ex, ey, floor) for each orientation of the new edge reachable
+        from u and v; floor = d(u, ex) + w + d(ey, v), read off the old trees
+        of u and v, is the shortest u-v walk crossing the edge once, ex to ey."""
+        du, dv = self.old_forest.spts[u].dist, self.old_forest.spts[v].dist
+        return [(ex, ey, du[ex] + self.w + dv[ey])
+                for ex, ey in ((self.x, self.y), (self.y, self.x))
+                if du[ex] is not None and dv[ey] is not None]
 
-    def _build_pair_info(self, u: int, v: int):
-        """(X, routes): X is the new edge's position on the new pi(u, v), None
-        when the path did not change; each route is (ex, ey, P, Q, p, q,
-        floor), ex None for the old pi(u, v)."""
+    def _build_pair_info(self, u: int, v: int, orientations: list):
+        """(X, routes) from the pair's ``orientations``: X is the new edge's
+        position on the new pi(u, v), None when the path did not change; each
+        route is (ex, ey, P, Q, p, q, floor), ex None for the old pi(u, v)."""
         of, nf = self.old_forest, self.new_forest
-        d_old = of.dist(u, v)
-        d_new = nf.dist(u, v)
+        d_old, d_new = of.dist(u, v), nf.dist(u, v)
         routes = []
         if d_old == d_new:
-            # one route per reachable orientation, with the unconstrained
-            # through-edge length as a pruning floor
+            # one route per reachable orientation, its floor pruning candidates
             h = of.hops(u, v)
-            for ex, ey in ((self.x, self.y), (self.y, self.x)):
-                floor = _opt_add3(of.dist(u, ex), self.w, of.dist(ey, v))
-                if floor is None:
-                    continue
+            for ex, ey, floor in orientations:
                 p = of.spts[u].lca(ex, v)
                 q = of.spts[v].lca(ey, u)
                 routes.append((ex, ey, of.spts[u].depth[p], h - of.spts[v].depth[q],
                                p, q, floor))
             return None, routes
         # the new path runs through the inserted edge; find its orientation
-        via_x = _opt_add3(of.dist(u, self.x), self.w, of.dist(self.y, v))
-        if via_x is not None and via_x == d_new:
-            ex, ey = self.x, self.y
-        else:
-            assert _opt_add3(of.dist(u, self.y), self.w, of.dist(self.x, v)) == d_new, \
-                "changed pair must route through the new edge"
-            ex, ey = self.y, self.x
+        through = [(ex, ey) for ex, ey, floor in orientations if floor == d_new]
+        assert through, "changed pair must route through the new edge"
+        ex, ey = through[0]
         X = nf.spts[u].depth[ex]
         if d_old is not None:
             # the old path leaves the new one at p and rejoins it at q
@@ -190,28 +186,20 @@ class InsertionContext:
         return X, routes
 
 
-def _opt_add3(a: Optional[W], w: W, b: Optional[W]) -> Optional[W]:
-    if a is None or b is None:
-        return None
-    return a + w + b
-
-
-def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int) -> Optional[ProperForm]:
-    """New entry (i, j) of pair (u, v) by the covering rule (module docstring)."""
-    X, routes = ctx.pair_info(u, v)
+def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int,
+               info) -> Optional[ProperForm]:
+    """New entry (i, j) of pair (u, v) by the covering rule (module
+    docstring); ``info`` is the pair's ``_build_pair_info``."""
+    X, routes = info
     nf = ctx.new_forest
     pa, pb = i, nf.hops(u, v) - j
     best = None
     if X is None:
-        old_pf = ctx.old_table[(u, v)].get((i, j))
-        # endpoints kept their distances, so the stored decomposition is the
-        # same pair of tree paths and still clears the same interval
-        if old_pf is not None and ctx.pf_survives(old_pf):
-            if all(floor >= old_pf.length for *_, floor in routes):
-                return old_pf  # no route's floor is below the stored entry
-            best = old_pf
-        elif old_pf is not None:
-            best = ctx.gate(ctx.form(old_pf, u), u, v, pa, pb)
+        # an old entry whose endpoints kept their distances names the same
+        # pair of tree paths, which still clears the same interval
+        best = ctx.old_table[(u, v)][(i, j)]
+        if best is not None and not ctx.pf_survives(best):
+            best = ctx.gate(ctx.form(best, u), u, v, pa, pb)
     a = nf.vertex_at(u, v, pa)
     b = nf.vertex_at(u, v, pb)
     for ex, ey, P, Q, p, q, floor in routes:
@@ -239,30 +227,39 @@ def _keeps_tree(tree: ShortestPathTree, x: int, y: int, w: W) -> bool:
     return dx + w > dy and dy + w > dx
 
 
-def _reuses_pair(ctx: InsertionContext, u: int, v: int) -> bool:
-    """May pair (u, v) keep its old sub-table object (module docstring)?"""
-    of = ctx.old_forest
-    du = of.spts[u].dist
-    if du[v] is None or du[v] != ctx.new_forest.spts[u].dist[v]:
-        return False
-    floor = None
-    for ex, ey in ((ctx.x, ctx.y), (ctx.y, ctx.x)):
-        f = _opt_add3(du[ex], ctx.w, of.spts[ey].dist[v])
-        if f is not None and (floor is None or f < floor):
-            floor = f
-    for pf in ctx.old_table[(u, v)].values():
-        if pf is None or (floor is not None and pf.length > floor):
-            return False
-    return True
+def _keeps_entry(pf: Optional[ProperForm], floor: Optional[W]) -> bool:
+    """Does an entry of a pair whose distance is unchanged stay as it is,
+    given the pair's floor (the keep rule of the module docstring)?"""
+    return floor is None or (pf is not None and pf.length <= floor)
+
+
+def pair_table(ctx: InsertionContext, u: int, v: int) -> dict:
+    """New sub-table of the connected pair (u, v) by the keep rule: the old
+    object when every entry is kept, otherwise a table whose other entries
+    ``pair_entry`` recomputes."""
+    orientations = ctx.orientations(u, v)
+    if ctx.old_forest.spts[u].dist[v] == ctx.new_forest.spts[u].dist[v]:
+        old = ctx.old_table[(u, v)]
+        floor = min((f for _, _, f in orientations), default=None)
+        redo = [k for k, pf in old.items() if not _keeps_entry(pf, floor)]
+        if not redo:
+            return old
+        sub = dict(old)
+    else:
+        redo, sub = anchors(ctx.new_forest.hops(u, v)), {}
+    info = ctx._build_pair_info(u, v, orientations)
+    for i, j in redo:
+        sub[(i, j)] = pair_entry(ctx, u, v, i, j, info)
+    return sub
 
 
 def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
                 tie: Optional[int] = None, eid: Optional[int] = None) -> int:
     """Add an edge and refresh the structure; returns the new edge id.
 
-    Rebuilds only the trees the edge can change and keeps the old sub-table
-    object of every pair that passes the reuse rule of the module docstring;
-    every other stored interval entry is recomputed from the old structure.
+    Rebuilds only the trees the edge can change; ``pair_table`` keeps each
+    entry the keep rule of the module docstring allows, and every other
+    stored interval entry is recomputed from the old structure.
     Worst-case cost is one all-sources rebuild plus a constant amount of
     work per stored interval entry.  Raises DuplicateEdge for parallel
     inserts and TieDetected when a rebuilt tree has two shortest paths.
@@ -288,18 +285,9 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
     new_forest = SptForest(g2, spts)
 
     ctx = InsertionContext(dso, new_forest, eid, x, y, w)
-    new_table: dict = {}
     n = g2.n
-    for u in range(n):
-        spt_u = new_forest.spts[u]
-        for v in range(u + 1, n):
-            if spt_u.dist[v] is None:
-                continue
-            if _reuses_pair(ctx, u, v):
-                new_table[(u, v)] = ctx.old_table[(u, v)]
-                continue
-            new_table[(u, v)] = {(i, j): pair_entry(ctx, u, v, i, j)
-                                 for (i, j) in anchors(spt_u.depth[v])}
+    new_table = {(u, v): pair_table(ctx, u, v) for u in range(n) for v in range(u + 1, n)
+                 if new_forest.spts[u].dist[v] is not None}
 
     dso.graph = g2
     dso.forest = new_forest

@@ -154,6 +154,10 @@ def test_bench_dso_incremental_report(tmp_path):
     assert rep["suite"] == "dso-incremental"
     assert {row["n"] for row in rep["sizes"]} == {12, 16}
     assert "machine" in rep and rep["slope"] is not None
+    for row in rep["sizes"]:
+        assert 0 <= row["pairs_kept"] <= row["pairs_held"]
+        assert 0 <= row["entries_kept"] <= row["entries_held"]
+        assert row["pairs_held"] == 2 * row["n"] * (row["n"] - 1) // 2  # two insertions
 
 
 def test_bench_dso_build_report(tmp_path):

@@ -85,7 +85,7 @@ def test_reuse_matches_full_recompute(family, wmax, monkeypatch):
         if u != v and frozenset((u, v)) not in present:
             present.add(frozenset((u, v)))
             inserts.append((u, v, rng.randint(1, wmax)))
-    counts = {"pairs": 0, "trees": 0}
+    counts = {"entries": 0, "trees": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -95,16 +95,32 @@ def test_reuse_matches_full_recompute(family, wmax, monkeypatch):
         return wrapped
 
     with monkeypatch.context() as m:
-        m.setattr(incremental, "_reuses_pair", counting("pairs", incremental._reuses_pair))
+        m.setattr(incremental, "_keeps_entry", counting("entries", incremental._keeps_entry))
         m.setattr(incremental, "_keeps_tree", counting("trees", incremental._keeps_tree))
         shipped = _grown_states(g, inserts)
-    assert counts["pairs"] > 0 and counts["trees"] > 0  # the fast paths ran
-    monkeypatch.setattr(incremental, "_reuses_pair", lambda *args: False)
+    assert counts["entries"] > 0 and counts["trees"] > 0  # the fast paths ran
+    # the reference keeps nothing: every entry goes through pair_entry
+    monkeypatch.setattr(incremental, "_keeps_entry", lambda *args: False)
     monkeypatch.setattr(incremental, "_keeps_tree", lambda *args: False)
     full = _grown_states(g, inserts)
     for step, (got, want) in enumerate(zip(shipped, full)):
         assert got[0] == want[0], f"table differs after insertion {step}"
         assert got[1] == want[1], f"forest differs after insertion {step}"
+
+
+def test_other_component_keeps_every_sub_table():
+    # a 4-cycle with a chord, and a triangle with a pendant bridge (6, 7), so
+    # the pairs (4, 7), (5, 7) and (6, 7) hold null entries
+    edges = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 0, 6), (0, 2, 8),
+             (4, 5, 3), (5, 6, 4), (4, 6, 5), (6, 7, 2)]
+    g = perturb_and_verify(8, edges, seed=2)
+    dso = IncrementalDso.build(g)
+    other = [(u, v) for u in range(4, 8) for v in range(u + 1, 8)]
+    assert any(None in dso.table[pair].values() for pair in other)
+    old_table = dso.table
+    insert_edge(dso, 1, 3, 4)
+    assert all(dso.table[pair] is old_table[pair] for pair in other)
+    check_all_queries(dso.graph, dso)
 
 
 def test_zero_base_shortcut_becomes_path():
