@@ -415,7 +415,9 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
 
     A size is either completed (every repeat finished within ``budget``) or
     timed out; a timed-out row carries no runs, median or triple count, and
-    only completed rows enter the slope fit.
+    only completed rows enter the slope fit.  A completed row also counts
+    the pairs the offline sweeps' lazy layers filled against the pairs they
+    held, from one more solve in this process, outside the timing.
     """
     rows = []
     for n in sizes:
@@ -427,6 +429,7 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
         runs = []
         triples = None
         timed_out = False
+        demand = {}
         try:
             for _ in range(repeats):
                 with tempfile.NamedTemporaryFile(suffix=".ndjson", delete=False) as ofh:
@@ -453,6 +456,11 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
                     timed_out = True
                     break
                 runs.append(elapsed)
+            if not timed_out:
+                stats = solve_3frp(load_graph(gpath, seed), 0, n - 1,
+                                   lambda *_: None, seed=seed)
+                demand = {"pairs_filled": stats.pairs_filled,
+                          "pairs_held": stats.pairs_held}
         finally:
             os.unlink(gpath)
         runs = [] if timed_out else [round(x, 4) for x in runs]
@@ -460,6 +468,7 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
             "n": n, "runs": runs,
             "median": statistics.median(runs) if runs else None,
             "triples": None if timed_out else triples, "timed_out": timed_out,
+            **demand,
         })
     done = [(r["n"], r["median"]) for r in rows if not r["timed_out"]]
     return {"suite": "frp3", "sizes": rows, "slope": _fit_slope(done),

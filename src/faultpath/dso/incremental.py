@@ -51,6 +51,17 @@ Old values are only read, new values only written (double buffering), so the
 covering rule always sees the pre-insertion structure.  Kept trees,
 sub-tables and entries are shared between the old and the new structure
 and are never mutated.
+
+Lazy layers.  An insertion builds its new trees and its ``InsertionContext``
+and then fills every pair with ``pair_table``.  Inside the offline range
+tree an insertion may stop before the fill: its table is a ``PairTable``
+whose fill is ``pair_table`` against the context, so each pair is computed
+on its first read.  The context keeps its own handle on the old graph,
+forest and table, which the insertion replaces on the live oracle; the old
+table may itself be a lazy layer, and reading it fills it.  A fill is a
+pure function of that frozen structure, so it gives the eager sub-table,
+and a shared table may be filled by whichever reader comes first.  The
+trees are still rebuilt at insertion, so TieDetected is raised there.
 """
 from __future__ import annotations
 
@@ -62,7 +73,7 @@ from ..pathform import (
 )
 from ..spt import ShortestPathTree, SptForest, dijkstra
 from ..weights import CompositeWeight as W
-from .static import IncrementalDso, TieDetected, _pf_min_gated, anchors
+from .static import Demand, IncrementalDso, PairTable, TieDetected, _pf_min_gated, anchors
 
 
 class DuplicateEdge(ValueError):
@@ -74,16 +85,19 @@ class InsertionContext:
 
     Forms read from ``old_table`` or ``old_query`` are expanded against
     ``old_forest``; forms leaving ``gate`` are made against ``new_forest``.
+    ``old`` is a handle of its own on the pre-insertion structure: the
+    insertion then replaces the fields of the live oracle, and a lazy layer
+    reads the old structure long after.
     """
 
     __slots__ = (
-        "dso", "old_forest", "old_table", "new_forest", "eid", "x", "y", "w",
-        "_pf_cache", "_oq_cache",
+        "old", "old_forest", "old_table", "new_forest", "eid", "x", "y", "w",
+        "_oq_cache",
     )
 
     def __init__(self, dso: IncrementalDso, new_forest: SptForest,
                  eid: int, x: int, y: int, w: W):
-        self.dso = dso
+        self.old = IncrementalDso(dso.graph, dso.forest, dso.table, dso.ties)
         self.old_forest = dso.forest
         self.old_table = dso.table
         self.new_forest = new_forest
@@ -91,8 +105,12 @@ class InsertionContext:
         self.x = x
         self.y = y
         self.w = w
-        self._pf_cache: dict = {}
         self._oq_cache: dict = {}
+
+    def fill(self, u: int, v: int, _cache: dict) -> dict:
+        """``pair_table`` as the new ``PairTable``'s fill; it needs no
+        per-source cache."""
+        return pair_table(self, u, v)
 
     # -- candidate parts from the old structure ---------------------------
 
@@ -104,7 +122,7 @@ class InsertionContext:
             return hit
         got = None
         if self.old_forest.dist(uu, vv) is not None:
-            got = self.dso._query_vertices(uu, vv, a, b)
+            got = self.old._query_vertices(uu, vv, a, b)
         self._oq_cache[key] = got
         return got
 
@@ -125,15 +143,15 @@ class InsertionContext:
     # -- the canonicalising gate against the new graph -------------------
 
     def gate(self, segs, u: int, v: int, pa: int, pb: int,
-             cache_key=None) -> Optional[ProperForm]:
-        """``transform_avoiding`` against the new graph; with ``cache_key``
-        the proper form of ``segs`` is kept for the next call with that key."""
+             forms: Optional[dict] = None, key=None) -> Optional[ProperForm]:
+        """``transform_avoiding`` against the new graph; with ``forms`` the
+        proper form of ``segs`` is kept there under ``key`` for the next call."""
         nf = self.new_forest
-        if cache_key is None or segs is None:
+        if forms is None or segs is None:
             return transform_avoiding(segs, nf, u, v, pa, pb)
-        pf = self._pf_cache.get(cache_key, False)
+        pf = forms.get(key, False)
         if pf is False:
-            pf = self._pf_cache[cache_key] = to_proper_form(CandidatePath(segs), nf)
+            pf = forms[key] = to_proper_form(CandidatePath(segs), nf)
         if pf is None or pf_intersects_interval(pf, nf, u, v, pa, pb):
             return None
         return pf
@@ -187,9 +205,10 @@ class InsertionContext:
 
 
 def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int,
-               info) -> Optional[ProperForm]:
+               info, forms: dict) -> Optional[ProperForm]:
     """New entry (i, j) of pair (u, v) by the covering rule (module
-    docstring); ``info`` is the pair's ``_build_pair_info``."""
+    docstring); ``info`` is the pair's ``_build_pair_info``, and ``forms``
+    keeps the proper form of each route R misses for the pair's next entry."""
     X, routes = info
     nf = ctx.new_forest
     pa, pb = i, nf.hops(u, v) - j
@@ -214,8 +233,8 @@ def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int,
             continue  # no one old entry covers both sides, none covers the edge
         else:
             segs = join(ctx.leg(u, ex, lo, hi, pre), ctx.edge(ex, ey), ctx.leg(ey, v, lo, hi, suf))
-        key = None if pre or suf else (u, v, ex)
-        best = _pf_min_gated(best, segs, ctx.gate, u, v, pa, pb, key)
+        best = _pf_min_gated(best, segs, ctx.gate, u, v, pa, pb,
+                             None if pre or suf else forms, ex)
     return best
 
 
@@ -248,13 +267,15 @@ def pair_table(ctx: InsertionContext, u: int, v: int) -> dict:
     else:
         redo, sub = anchors(ctx.new_forest.hops(u, v)), {}
     info = ctx._build_pair_info(u, v, orientations)
+    forms: dict = {}  # route -> its proper form, for this pair only
     for i, j in redo:
-        sub[(i, j)] = pair_entry(ctx, u, v, i, j, info)
+        sub[(i, j)] = pair_entry(ctx, u, v, i, j, info, forms)
     return sub
 
 
 def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
-                tie: Optional[int] = None, eid: Optional[int] = None) -> int:
+                tie: Optional[int] = None, eid: Optional[int] = None,
+                demand: Optional[Demand] = None) -> int:
     """Add an edge and refresh the structure; returns the new edge id.
 
     Rebuilds only the trees the edge can change; ``pair_table`` keeps each
@@ -263,14 +284,19 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
     Worst-case cost is one all-sources rebuild plus a constant amount of
     work per stored interval entry.  Raises DuplicateEdge for parallel
     inserts and TieDetected when a rebuilt tree has two shortest paths.
+
+    With a ``demand`` counter the new table is a lazy layer (module
+    docstring) that counts its pairs there; without one every pair is
+    filled before the call returns.
     """
     g = dso.graph
     if x == y:
         raise DuplicateEdge("self-loops are not allowed")
     if g.has_endpoints(x, y):
         raise DuplicateEdge(f"({x}, {y}) already present")
-    # every old pair is read below; fill an on-demand table one source at a time
-    dso.complete()
+    if demand is None:
+        # every old pair is read below; fill an on-demand table one source at a time
+        dso.complete()
     if tie is None:
         tie = dso.ties.next()
     w = W(w_base, tie)
@@ -285,11 +311,11 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
     new_forest = SptForest(g2, spts)
 
     ctx = InsertionContext(dso, new_forest, eid, x, y, w)
-    n = g2.n
-    new_table = {(u, v): pair_table(ctx, u, v) for u in range(n) for v in range(u + 1, n)
-                 if new_forest.spts[u].dist[v] is not None}
+    table = PairTable(new_forest, ctx.fill, demand)
+    if demand is None:
+        table = table.filled()
 
     dso.graph = g2
     dso.forest = new_forest
-    dso.table = new_table
+    dso.table = table
     return eid

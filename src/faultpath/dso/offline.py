@@ -7,6 +7,18 @@ is handed to a callback in leaf order and then dropped.  Traversal is
 depth-first with one working clone per level, so at most a root-to-leaf
 chain of oracles is ever alive.
 
+The reduction knows every query before it builds anything, and a node's
+table serves only the leaves below it.  So the insertions that make a node
+spanning at most two leaves are lazy layers (``insert_edge`` with this
+build's ``Demand`` counter): trees are rebuilt at once, but each pair's
+sub-table is filled on its first read, from the layer below it.  Larger
+nodes, whose pairs the leaves mostly read anyway, are filled at insertion.
+A leaf's lowest eager ancestor spans at most five leaves and each lazy
+layer above the leaf restores one edge that ancestor lacks, so at most four
+lazy layers are alive above a leaf: a two-leaf right child of a five-leaf
+node takes three insertions, and its leaves one more.  ``OfflineDso.demand``
+counts the pairs the lazy layers filled against the pairs they held.
+
 The one range-tree routine, ``build_timeline``, takes the leaves as edge-id
 masks over one table of edge specs, and two schedules produce them:
 
@@ -24,7 +36,7 @@ from typing import Callable
 from ..graph import Edge, Graph, TieSource
 from ..weights import CompositeWeight as W
 from .incremental import insert_edge
-from .static import IncrementalDso
+from .static import Demand, IncrementalDso
 
 
 class InvalidDelete(ValueError):
@@ -93,15 +105,17 @@ class DeletionSweep:
 
 class OfflineDso:
     """What the range-tree build leaves behind: the leaf graphs as masks,
-    the per-node insertion counts and the peak number of live oracles."""
+    the per-node insertion counts, the peak number of live oracles and the
+    pairs its lazy layers filled against the pairs they held."""
 
     def __init__(self, timeline: Timeline | DeletionSweep, edge_specs, masks,
-                 peak_live: int, node_stats):
+                 peak_live: int, node_stats, demand: Demand):
         self.timeline = timeline
         self.edge_specs = edge_specs
         self.masks = masks
         self.peak_live = peak_live
         self.node_stats = node_stats
+        self.demand = demand
 
     @property
     def steps(self) -> int:
@@ -131,6 +145,7 @@ def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0, *,
     live = 1
     peak = 1
     node_stats: list[tuple[int, int, int]] = []
+    demand = Demand()
 
     def interval_mask(lo: int, hi: int) -> int:
         m = masks[lo]
@@ -141,14 +156,16 @@ def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0, *,
     root_mask = interval_mask(0, T)
     root = IncrementalDso.build(_graph_for_mask(g0.n, edge_specs, root_mask), seed)
 
-    def grow(dso: IncrementalDso, from_mask: int, to_mask: int) -> int:
+    def grow(dso: IncrementalDso, from_mask: int, to_mask: int, lo: int, hi: int) -> int:
         added = to_mask & ~from_mask
+        # a node spanning at most two leaves gets lazy layers
+        lazy = demand if hi - lo < 2 else None
         count = 0
         eid = 0
         while added:
             if added & 1:
                 e = edge_specs[eid]
-                insert_edge(dso, e.u, e.v, e.w.base, tie=e.w.tie, eid=eid)
+                insert_edge(dso, e.u, e.v, e.w.base, tie=e.w.tie, eid=eid, demand=lazy)
                 count += 1
             added >>= 1
             eid += 1
@@ -166,19 +183,22 @@ def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0, *,
         clone = _clone(dso)
         live += 1
         peak = max(peak, live)
-        node_stats.append((lo, mid, grow(clone, node_mask, left_mask)))
+        node_stats.append((lo, mid, grow(clone, node_mask, left_mask, lo, mid)))
         descend(clone, left_mask, lo, mid)
         live -= 1
-        node_stats.append((mid + 1, hi, grow(dso, node_mask, right_mask)))
+        node_stats.append((mid + 1, hi, grow(dso, node_mask, right_mask, mid + 1, hi)))
         descend(dso, right_mask, mid + 1, hi)
 
     descend(root, root_mask, 0, T)
-    return OfflineDso(timeline, edge_specs, masks, peak, node_stats)
+    return OfflineDso(timeline, edge_specs, masks, peak, node_stats, demand)
 
 
 def _clone(dso: IncrementalDso) -> IncrementalDso:
     # shallow: the clone shares trees and sub-tables with its parent, which
     # is safe because insert_edge never mutates either; it replaces the
-    # forest and the table, reusing unchanged trees and sub-tables as they are
+    # forest and the table, reusing unchanged trees and sub-tables as they are.
+    # Lazy fills do write into shared tables, which is safe too: each fill is
+    # a pure function of the frozen old structure, so every reader of a
+    # table gets the same sub-table whoever filled it first
     return IncrementalDso(dso.graph, dso.forest, dso.table, dso.ties)
 

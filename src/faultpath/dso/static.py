@@ -22,12 +22,15 @@ uses it on its auxiliary graph, whose answers read a few of its pairs.  A
 reader of every pair completes the table first, source by source, keeping
 one source's trees alive at a time: ``build`` is exactly that completion,
 and ``insert_edge`` and ``save_dso`` complete an on-demand table before they
-read it, so a snapshot is never partial.
+read it, so a snapshot is never partial.  ``PairTable`` takes its per-pair
+routine as a parameter, so an insertion's lazy layer in the offline range
+tree is the same table with ``pair_table`` as its fill.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Optional
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable, Optional
 
 from ..graph import Graph, TieSource
 from ..pathform import (
@@ -104,45 +107,69 @@ def replacement_forms(forest: SptForest, u: int, v: int, trees: dict):
     return out
 
 
+@dataclass
+class Demand:
+    """Pairs of lazy tables filled on a read, against the connected pairs
+    they hold; one counter can be shared by many tables."""
+
+    filled: int = 0
+    held: int = 0
+
+
 class PairTable(dict):
-    """``table[(u, v)]`` (u < v) computes a pair's anchored entries on its
-    first read and keeps them.  A pair with no path raises KeyError and is
-    not stored.  ``dict.get`` and ``in`` skip the fill, so callers read
-    through ``[]``.
+    """``table[(u, v)]`` (u < v) computes a pair's sub-table on its first
+    read, as ``fill(u, v, cache)``, and keeps it; ``cache`` is a dict kept
+    per source u while the table fills (the static fill keeps u's G - e
+    trees there).  A pair with no path raises KeyError and is not stored.
+    ``dict.get`` and ``in`` skip the fill, so callers read through ``[]``.
+    A ``demand`` counter counts the table's connected pairs once and each
+    pair it fills.
     """
 
-    __slots__ = ("forest", "_trees")
+    __slots__ = ("forest", "fill", "demand", "_caches")
 
-    def __init__(self, forest: SptForest):
+    def __init__(self, forest: SptForest, fill: Callable[[int, int, dict], dict],
+                 demand: Optional[Demand] = None):
         super().__init__()
         self.forest = forest
-        self._trees: dict[int, dict] = {}  # source u -> its G - e trees
+        self.fill = fill
+        self.demand = demand
+        self._caches: dict[int, dict] = {}  # source u -> its fill cache
+        if demand is not None:
+            n = forest.graph.n
+            demand.held += sum(d is not None for u in range(n)
+                               for d in forest.spts[u].dist[u + 1:])
+
+    def _fill(self, u: int, v: int, cache: dict) -> dict:
+        if self.demand is not None:
+            self.demand.filled += 1
+        return self.fill(u, v, cache)
 
     def __missing__(self, pair: tuple[int, int]) -> dict:
         u, v = pair
         f = self.forest
         if not 0 <= u < v < f.graph.n or f.dist(u, v) is None:
             raise KeyError(pair)
-        sub = self[pair] = _pair_entries(f, u, v, self._trees.setdefault(u, {}))
+        sub = self[pair] = self._fill(u, v, self._caches.setdefault(u, {}))
         return sub
 
     def filled(self) -> dict:
         """Every connected pair in (u, v) order, the pairs read so far kept.
 
-        Sources are filled one at a time and each one's G - e trees are
-        dropped when it is done, so at most one source's trees are alive.
+        Sources are filled one at a time and each one's cache is dropped
+        when it is done, so at most one source's G - e trees are alive.
         """
         f = self.forest
         n = f.graph.n
         out: dict = {}
         for u in range(n):
             du = f.spts[u].dist
-            trees = self._trees.pop(u, {})
+            cache = self._caches.pop(u, {})
             for v in range(u + 1, n):
                 if du[v] is None:
                     continue
                 sub = self.get((u, v))  # no fill: a miss is filled below
-                out[(u, v)] = _pair_entries(f, u, v, trees) if sub is None else sub
+                out[(u, v)] = self._fill(u, v, cache) if sub is None else sub
         return out
 
 
@@ -182,7 +209,8 @@ class IncrementalDso:
             forest = SptForest.build(graph)
         if any(tree.tied for tree in forest.spts):
             raise TieDetected("the graph has two shortest paths between some pair")
-        return cls(graph, forest, PairTable(forest), TieSource(seed + 7919))
+        return cls(graph, forest, PairTable(forest, partial(_pair_entries, forest)),
+                   TieSource(seed + 7919))
 
     def complete(self) -> None:
         """Fill every pair of an on-demand table; a full table stays as is."""

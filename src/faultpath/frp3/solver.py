@@ -36,6 +36,8 @@ class Frp3Stats:
     by_case: dict = field(default_factory=lambda: {"1on": 0, "2on": 0, "3on": 0})
     loop_potentials: list = field(default_factory=list)
     loop_bounds_ok: bool = True
+    pairs_filled: int = 0  # pairs the sweeps' lazy layers filled ...
+    pairs_held: int = 0    # ... against the connected pairs they held
 
 
 def _omin(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -158,7 +160,11 @@ class Frp3Solver:
                     aux.term_minus[d1_pos], aux.term_plus[d1_pos], d3)
                 answers[key] = aux.two_term_value(ln)
 
-        build_timeline(DeletionSweep(aux.graph, deleted), on_leaf=on_leaf)
+        self._count_demand(build_timeline(DeletionSweep(aux.graph, deleted), on_leaf=on_leaf))
+
+    def _count_demand(self, off) -> None:
+        self.stats.pairs_filled += off.demand.filled
+        self.stats.pairs_held += off.demand.held
 
     # -- pass 2: two failures on the path ------------------------------------
 
@@ -197,7 +203,7 @@ class Frp3Solver:
 
             sweep = DeletionSweep(self.levels[(i, parity)],
                                   [P.path_eids[p] for p in del_positions])
-            build_timeline(sweep, on_leaf=on_leaf)
+            self._count_demand(build_timeline(sweep, on_leaf=on_leaf))
 
         for key in keys:
             full, sm, mt = runs[key][1]

@@ -24,6 +24,8 @@ Sink = Callable[[int, int, int, Optional[int]], None]
 class SsrpStats:
     timeline_steps: int = 0    # leaves of the sweep: one per tree edge
     emitted: int = 0
+    pairs_filled: int = 0      # pairs the sweep's lazy layers filled ...
+    pairs_held: int = 0        # ... against the connected pairs they held
 
 
 def ssrp2(graph: Graph, s: int, sink: Sink,
@@ -64,7 +66,8 @@ def ssrp2(graph: Graph, s: int, sink: Sink,
                 sink(d1, d2, t, None if ln is None else ln.base)
                 stats.emitted += 1
 
-    build_timeline(DeletionSweep(graph, tree_edges), on_leaf=on_leaf)
+    off = build_timeline(DeletionSweep(graph, tree_edges), on_leaf=on_leaf)
+    stats.pairs_filled, stats.pairs_held = off.demand.filled, off.demand.held
     return stats
 
 

@@ -197,6 +197,14 @@ def test_bench_frp3_timed_out_row_is_empty(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_frp3_row_counts_lazy_pairs(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    row, = bench_frp3([8], seed=0, repeats=1, budget=None)["sizes"]
+    assert row["triples"] == 211 and len(row["runs"]) == 1
+    assert 0 < row["pairs_filled"] < row["pairs_held"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(shutil.which("false") is None,
                     reason="needs a 'false' executable")
 def test_bench_frp3_removes_temp_files_when_pipeline_fails(tmp_path, monkeypatch):

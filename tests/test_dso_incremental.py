@@ -5,7 +5,7 @@ import pytest
 from faultpath.dso import incremental
 from faultpath.dso.incremental import DuplicateEdge, TieDetected, insert_edge
 from faultpath.dso.offline import DeletionSweep, build_timeline
-from faultpath.dso.static import IncrementalDso
+from faultpath.dso.static import Demand, IncrementalDso
 from faultpath.families import detour_rich, random_connected
 from faultpath.graph import Graph, perturb_and_verify
 from faultpath.pathform import pf_intersects_interval
@@ -255,7 +255,49 @@ def test_grown_weak_entries_match_fresh_build():
     eids = sorted(spt.parent_edge[v] for v in range(1, g.n))
 
     def on_leaf(k, dso):
+        dso.complete()  # a leaf's table is a lazy layer; compare every pair
         missed.extend(_missed_weak_entries(dso, IncrementalDso.build(_without(g, {eids[k]}))))
 
     build_timeline(DeletionSweep(g, eids), on_leaf=on_leaf)
     assert missed == []
+
+
+def _two_components():
+    # random_connected(8, 1) on vertices 0..7 and random_connected(7, 2) on 8..14
+    g = Graph(15)
+    for off, part in ((0, random_connected(8, 1)), (8, random_connected(7, 2))):
+        for e in part.edges.values():
+            g.add_edge(e.u + off, e.v + off, e.w)
+    return g
+
+
+def test_lazy_layer_fills_each_pair_on_first_read():
+    g = _two_components()
+    x, y = next((u, v) for u in range(8) for v in range(u + 1, 8) if not g.has_endpoints(u, v))
+    eager, lazy = IncrementalDso.build(g), IncrementalDso.build(g)
+    demand = Demand()
+    assert insert_edge(lazy, x, y, 7, demand=demand) == insert_edge(eager, x, y, 7)
+    # the trees are rebuilt at insertion; only the table waits for reads
+    assert [(t.dist, t.parent_edge) for t in lazy.forest.spts] == \
+        [(t.dist, t.parent_edge) for t in eager.forest.spts]
+    assert len(lazy.table) == 0 and demand == Demand(0, len(eager.table))
+    for pair in ((0, 8), (7, 14), (3, 3), (5, 2), (2, 15)):
+        with pytest.raises(KeyError):
+            lazy.table[pair]
+    assert len(lazy.table) == 0 and demand.filled == 0
+    pairs = list(eager.table)
+    random.Random(0).shuffle(pairs)
+    for k, pair in enumerate(pairs, 1):
+        assert lazy.table[pair] == eager.table[pair]
+        assert len(lazy.table) == demand.filled == k
+    lazy.complete()
+    assert list(lazy.table) == list(eager.table) and demand.filled == len(pairs)
+
+
+def test_lazy_insert_detects_ties():
+    g = perturb_and_verify(4, [(0, 1, 2), (1, 2, 3), (2, 3, 2)], seed=0)
+    dso = IncrementalDso.build(g)
+    t01 = next(e.w for e in g.edges.values() if {e.u, e.v} == {0, 1})
+    t12 = next(e.w for e in g.edges.values() if {e.u, e.v} == {1, 2})
+    with pytest.raises(TieDetected):
+        insert_edge(dso, 0, 2, t01.base + t12.base, tie=t01.tie + t12.tie, demand=Demand())

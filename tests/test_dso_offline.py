@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+from faultpath.cli import _load_timeline
+from faultpath.dso import offline
+from faultpath.dso.incremental import insert_edge
 from faultpath.dso.offline import DeletionSweep, InvalidDelete, Timeline, build_timeline
-from faultpath.dso.static import IncrementalDso
+from faultpath.dso.static import Demand, IncrementalDso, PairTable
 from faultpath.families import detour_rich, random_connected
 from faultpath.graph import Graph
 from faultpath.reference import dist_avoiding
@@ -232,3 +235,69 @@ def test_deletion_sweep_leaf_is_the_graph_minus_one_edge(graph, source):
     off = build_timeline(DeletionSweep(graph, eids), on_leaf=on_leaf)
     assert visited == list(range(len(eids)))
     assert off.peak_live <= math.ceil(math.log2(len(eids))) + 1
+
+
+def _tree_edge_sweep(graph, source):
+    spt = dijkstra(graph, source)
+    return DeletionSweep(graph, sorted(spt.parent_edge[v] for v in range(graph.n)
+                                       if v != source and spt.dist[v] is not None))
+
+
+def _cli_timeline(tmp_path):
+    # the timeline of tests/test_cli.py::test_dso_offline_cli
+    g = random_connected(8, seed=1)
+    edges = [(e.u, e.v, e.w.base) for _, e in sorted(g.edges.items())]
+    u, v, w = edges[0]
+    text = f"p {g.n} {len(edges)}\n" + "".join(f"e {a} {b} {c}\n" for a, b, c in edges)
+    path = tmp_path / "t.timeline"
+    path.write_text(text + f"- {u} {v}\n+ {u} {v} {w}\n")
+    return _load_timeline(str(path), None, 0)[0]
+
+
+def _lazy_layers(table):
+    """Lazy layers in the chain under a leaf's table, down to a full one."""
+    layers = 0
+    while isinstance(table, PairTable):
+        layers += 1
+        table = table.fill.__self__.old_table
+    return layers
+
+
+def _leaf_states(schedule):
+    """Each leaf's lazy layer count, its trees and its completed table."""
+    states = []
+
+    def on_leaf(t, dso):
+        layers = _lazy_layers(dso.table)
+        dso.complete()
+        states.append((layers, [(tr.dist, tr.parent_edge) for tr in dso.forest.spts],
+                       dso.table))
+
+    return build_timeline(schedule, on_leaf=on_leaf), states
+
+
+@pytest.mark.parametrize("make", [
+    lambda _: _tree_edge_sweep(detour_rich(12, 0), 0),
+    lambda _: _tree_edge_sweep(detour_rich(16, 0), 0),
+    lambda _: _tree_edge_sweep(random_connected(20, 0), 0),
+    _cli_timeline,
+], ids=["detour12", "detour16", "random20", "cli-timeline"])
+def test_lazy_leaf_tables_equal_eager_ones(make, tmp_path, monkeypatch):
+    schedule = make(tmp_path)
+    off, lazy = _leaf_states(schedule)
+    with monkeypatch.context() as m:
+        # the reference fills every layer at insertion
+        m.setattr(offline, "insert_edge",
+                  lambda *args, demand=None, **kw: insert_edge(*args, **kw))
+        eager_off, eager = _leaf_states(schedule)
+    assert len(lazy) == len(eager) == off.steps + 1
+    for (layers, trees, table), (eager_layers, eager_trees, eager_table) in zip(lazy, eager):
+        # a leaf's lowest eager ancestor spans at most five leaves, and each
+        # lazy layer below it restores one of its missing edges
+        assert layers <= 4 and eager_layers == 0
+        assert trees == eager_trees
+        assert list(table) == list(eager_table) and table == eager_table
+    assert max(layers for layers, _, _ in lazy) >= 1
+    assert off.node_stats == eager_off.node_stats
+    assert off.peak_live <= math.ceil(math.log2(len(off.masks))) + 1
+    assert 0 < off.demand.filled <= off.demand.held and eager_off.demand == Demand()

@@ -48,6 +48,8 @@ def test_stream_shape_and_dedup():
     keys = [(min(d1, d2), max(d1, d2), t) for d1, d2, t, _ in emitted]
     assert len(keys) == len(set(keys))
     assert stats.emitted == len(emitted)
+    # the sweep's lazy layers filled some of their pairs, not all
+    assert 0 < stats.pairs_filled < stats.pairs_held
 
 
 @pytest.mark.parametrize("graph", [random_connected(28, 0), detour_rich(16, 0),
