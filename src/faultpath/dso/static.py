@@ -13,7 +13,8 @@ source u in G - e, one per edge e of u's tree that some pair needs.  Each
 such tree comes from ``spt.without_tree_edge``: only the subtree below e is
 searched again, and every other vertex keeps its path from u's tree.  Each
 detour is read off its tree as a proper form (the forms Bernstein and
-Karger, SODA 2009, build their oracle from); a tied forest raises TieDetected.
+Karger, SODA 2009, build their oracle from).  A tied forest, or a tied
+G - e tree, raises TieDetected.
 
 A table can also be filled on demand (``IncrementalDso.on_demand``): a
 pair's entries are computed the first time the pair is read, from the same
@@ -82,7 +83,8 @@ def replacement_forms(forest: SptForest, u: int, v: int, trees: dict):
     the vertices whose distance changed.  Walking up from v while the parent
     is in S stops at y, the first vertex of S on the detour.  The prefix to
     x = parent[y] avoids S, so it is u's tree path; the rest is pi(y, v),
-    which avoids e because pi(u, y) uses it.
+    which avoids e because pi(u, y) uses it.  A tied G - e tree raises
+    TieDetected, since its detours would not be unique.
     """
     graph = forest.graph
     spt_u = forest.spts[u]
@@ -92,6 +94,8 @@ def replacement_forms(forest: SptForest, u: int, v: int, trees: dict):
         tree = trees.get(eid)
         if tree is None:
             tree = trees[eid] = without_tree_edge(graph, spt_u, eid)
+            if tree.tied:
+                raise TieDetected("G - e has two shortest paths between some pair")
         length = tree.dist[v]
         if length is None:
             out.append(None)

@@ -273,8 +273,7 @@ class BothOnAnswer:
 class Frp2Solver:
     """All two-failure s-t answers for one graph, built lazily per part."""
 
-    def __init__(self, graph: Graph, s: int, t: int, seed: int = 0,
-                 aux: Optional[AuxGraphH] = None):
+    def __init__(self, graph: Graph, s: int, t: int, seed: int = 0):
         self.graph = graph
         self.s = s
         self.t = t
@@ -284,8 +283,6 @@ class Frp2Solver:
             raise Disconnected(f"{s} and {t} are disconnected")
         self.path_verts = spt.path_vertices(t)
         self.path_eids = spt.path_edges(t)
-        if aux is not None:
-            self.aux = aux
         self._spt = spt
         self.dist_st: W = spt.dist[t]
         self.pos_of_eid = {eid: k for k, eid in enumerate(self.path_eids)}

@@ -19,9 +19,8 @@ from ..weights import CompositeWeight as W
 @dataclass
 class PaddedInstance:
     graph: Graph
-    s: int              # padded source (chain head), equals orig_s when pad == 0
+    s: int              # padded source (chain head), the input source when pad == 0
     t: int
-    orig_s: int
     path_verts: list[int]
     path_eids: list[int]
     pad: int            # artificial leading edges; real path edges start here
@@ -54,7 +53,7 @@ def pad_to_power_of_two(graph: Graph, s: int, t: int, seed: int = 0) -> PaddedIn
     new_s = chain[-1] if pad else s
     path_verts = list(reversed(chain)) + pv
     path_eids = list(reversed(pad_eids)) + pe
-    return PaddedInstance(g, new_s, t, s, path_verts, path_eids, pad, k)
+    return PaddedInstance(g, new_s, t, path_verts, path_eids, pad, k)
 
 
 class BinaryPartition:

@@ -11,6 +11,12 @@ original path:
   each candidate one query against a level graph's offline deletion sweep;
 - three: interval-oracle candidates plus the probe-loop snake answers.
 
+The auxiliary graph H, its oracle and its off-path matrix are the
+two-failure solver's, built once.  Ties are checked on each tree where it
+is built: H's in ``build_H``, each sweep's in its root build (forest and
+G - e trees) and in its insertions.  A level graph itself is never searched,
+since every sweep node lacks at least one of its edges.
+
 All answers are exact base-channel lengths; None means unreachable.
 """
 from __future__ import annotations
@@ -20,9 +26,8 @@ from typing import Callable, Optional
 
 from ..dso.offline import DeletionSweep, build_timeline
 from ..dso.static import IncrementalDso
-from ..frp2 import Frp2Solver, build_H
+from ..frp2 import Frp2Solver
 from ..graph import Graph
-from ..spt import dijkstra
 from .partition import BinaryPartition, level_graph, pad_to_power_of_two
 from .snake import PairProbeLoop, SnakeOracles
 
@@ -58,38 +63,16 @@ class Frp3Solver:
     """Shared structures for one (graph, s, t) instance."""
 
     def __init__(self, graph: Graph, s: int, t: int, seed: int = 0):
-        self.base_graph = graph
-        self.orig_s = s
-        self.t = t
-        self.seed = seed
         self.inst = pad_to_power_of_two(graph, s, t, seed)
         P = self.inst
         self.partition = BinaryPartition(P)
-        self.aux, self.levels = self._build_aux_and_levels(seed)
-        self.frp2 = Frp2Solver(P.graph, P.s, P.t, seed=seed, aux=self.aux)
+        self.frp2 = Frp2Solver(P.graph, P.s, P.t, seed=seed)
+        self.aux = self.frp2.aux
+        self.levels = {(i, parity): level_graph(self.aux, self.partition, i, parity)
+                       for i in range(1, P.k + 1) for parity in (0, 1)}
         self.snakes = SnakeOracles(P, self.frp2.matrix)
         self.stats = Frp3Stats()
         self._pad_eids = set(P.path_eids[:P.pad])
-
-    def _build_aux_and_levels(self, seed: int):
-        P = self.inst
-        for attempt in range(8):
-            aux = build_H(P.graph, P.path_verts, P.path_eids,
-                          seed=seed + 1009 * attempt)
-            levels = {}
-            ok = True
-            for i in range(1, P.k + 1):
-                for parity in (0, 1):
-                    g = level_graph(aux, self.partition, i, parity)
-                    if any(dijkstra(g, s).tied for s in range(g.n)):
-                        ok = False
-                        break
-                    levels[(i, parity)] = g
-                if not ok:
-                    break
-            if ok:
-                return aux, levels
-        raise RuntimeError("no tie-free auxiliary construction found")
 
     # -- enumeration -------------------------------------------------------
 

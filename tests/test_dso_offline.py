@@ -137,13 +137,42 @@ def test_random_timeline_t40_n20_matches_per_step_static():
             assert got is not None and got.base == want.base
 
 
+def split_insertions(masks):
+    """(lo, hi, count) per range-tree node in build order, where count is
+    the edges the node's interval holds that its parent's interval lacks."""
+    def held(lo, hi):
+        m = masks[lo]
+        for t in range(lo + 1, hi + 1):
+            m &= masks[t]
+        return m
+
+    out = []
+
+    def descend(lo, hi):
+        if lo == hi:
+            return
+        mid = (lo + hi) // 2
+        for a, b in ((lo, mid), (mid + 1, hi)):
+            out.append((a, b, bin(held(a, b) & ~held(lo, hi)).count("1")))
+            descend(a, b)
+
+    descend(0, len(masks) - 1)
+    return out
+
+
 def test_subset_chain_and_memory_bound():
-    g = random_connected(14, seed=2)
-    tl = random_timeline(g, steps=24, seed=9)
-    off = build_timeline(tl, on_leaf=lambda t, d: None)
-    for lo, hi, added in off.node_stats:
-        assert added <= max(1, hi - lo + 1)
-    assert off.peak_live <= math.ceil(math.log2(24)) + 1
+    # the second timeline adds four new edges, one per step: a node takes
+    # every edge its parent's interval lacks, which can exceed its width,
+    # as [2, 2] takes two edges and [3, 4] three
+    g = random_connected(10, seed=1)
+    new = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+           if v not in {x for x, *_ in g.adj[u]}][:4]
+    for tl in (random_timeline(random_connected(14, seed=2), steps=24, seed=9),
+               Timeline(g, [("+", u, v, 5) for u, v in new])):
+        off = build_timeline(tl, on_leaf=lambda t, d: None)
+        assert off.node_stats == split_insertions(off.masks)
+        assert off.peak_live <= math.ceil(math.log2(len(off.masks))) + 1  # one per level
+    assert (2, 2, 2) in off.node_stats and (3, 4, 3) in off.node_stats
 
 
 def test_double_removal_through_timeline():

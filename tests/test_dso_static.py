@@ -231,6 +231,18 @@ def test_build_rejects_tied_graph():
         IncrementalDso.build(g)
 
 
+def test_build_rejects_tied_g_minus_e_tree():
+    # every tree of G is untied, but without (0, 3) vertex 0 reaches 3 over
+    # 1 and over 2 at the same length (2, 3)
+    g = Graph(4)
+    for u, v, w in [(0, 3, W(1, 0)), (0, 1, W(1, 1)), (1, 3, W(1, 2)),
+                    (0, 2, W(1, 2)), (2, 3, W(1, 1)), (1, 2, W(1, 5))]:
+        g.add_edge(u, v, w)
+    assert not any(tree.tied for tree in SptForest.build(g).spts)
+    with pytest.raises(TieDetected):
+        IncrementalDso.build(g)
+
+
 @pytest.mark.parametrize("make_forest", [
     lambda: _frp2_aux_forest(8),
     lambda: _frp2_aux_forest(12),

@@ -1,13 +1,15 @@
 import math
 import random
+import sys
 
 from faultpath.families import cycle, detour_rich, fixed_c8_family, path, \
     random_connected
 from faultpath.frp2 import OffPathMatrix, build_H
 from faultpath.frp3.partition import pad_to_power_of_two
 from faultpath.frp3.snake import PairProbeLoop, SnakeOracles, snake_through
-from faultpath.frp3.solver import solve_3frp
+from faultpath.frp3.solver import Frp3Solver, solve_3frp
 from faultpath.reference import dist_avoiding, snake_oracle
+from faultpath.spt import dijkstra
 
 
 def snake_setup(g, seed=0):
@@ -128,3 +130,21 @@ def test_detour_rich_n12_all_cases_hit():
     emitted = run_and_check(g, 0, 11, seed=4)
     kinds = {k for *_, k in emitted}
     assert kinds == {"1on", "2on", "3on"}
+
+
+def test_setup_runs_no_dijkstra_on_a_level_graph(monkeypatch):
+    # every sweep checks the trees it builds, so set-up runs no search on
+    # the level graphs themselves, and it reads the one H of its 2FRP solver
+    seen = []
+
+    def traced(graph, *args, **kwargs):
+        seen.append(graph)
+        return dijkstra(graph, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("faultpath") and getattr(mod, "dijkstra", None) is dijkstra:
+            monkeypatch.setattr(mod, "dijkstra", traced)
+    sol = Frp3Solver(detour_rich(12, 0), 0, 11)
+    assert seen
+    assert not any(g is level for g in seen for level in sol.levels.values())
+    assert sol.aux is sol.frp2.aux

@@ -5,7 +5,10 @@ command in-process.  These tests run it as the benchmark does, on a small
 input, and check the three things its traced round relies on: exit 0, the
 same output bytes as an untraced run, and every range-tree insertion seen
 as an ``insert_edge`` call (the benchmark compares that count with the sum
-of ``OfflineDso.node_stats``).
+of ``OfflineDso.node_stats``).  On frp3 it also checks that each of the
+three passes is timed: the trace tells the sweeps apart by identity, so
+``Frp3Solver.aux.graph`` and ``Frp3Solver.levels`` must be the very graphs
+the sweeps start from.
 """
 import json
 import os
@@ -44,3 +47,6 @@ def test_traced_run_counts_every_range_tree_insertion(tmp_path, cmd):
     assert report["calls"].get("dso.insert", 0) > 0 and report["calls"].get("offline", 0) > 0
     counts = report["counts"]
     assert counts["dso.insert.in_offline"] == counts["offline.insertions"] > 0
+    if cmd[0] == "frp":
+        for group in ("frp3.pass_1on", "frp3.pass_2on", "frp3.pass_3on"):
+            assert report["total"].get(group, 0) > 0, group
