@@ -1,23 +1,30 @@
 """Offline fully-dynamic oracle over a known sequence of graphs.
 
 A binary range tree over the leaves holds, at each node, the intersection of
-all leaf graphs in its interval; the root oracle is a static build and every
+all leaf graphs in its interval; the root oracle is a static one and every
 child derives from its parent by edge insertions only.  Each leaf's oracle
 is handed to a callback in leaf order and then dropped.  Traversal is
 depth-first with one working clone per level, so at most a root-to-leaf
 chain of oracles is ever alive.
 
 The reduction knows every query before it builds anything, and a node's
-table serves only the leaves below it.  So the insertions that make a node
+table serves only the leaves below it.  So the root's static table fills
+each pair on its first read (``IncrementalDso.on_demand``; its forest is
+built and tie-checked at once), and the insertions that make a node
 spanning at most two leaves are lazy layers (``insert_edge`` with this
 build's ``Demand`` counter): trees are rebuilt at once, but each pair's
 sub-table is filled on its first read, from the layer below it.  Larger
-nodes, whose pairs the leaves mostly read anyway, are filled at insertion.
-A leaf's lowest eager ancestor spans at most five leaves and each lazy
-layer above the leaf restores one edge that ancestor lacks, so at most four
-lazy layers are alive above a leaf: a two-leaf right child of a five-leaf
-node takes three insertions, and its leaves one more.  ``OfflineDso.demand``
-counts the pairs the lazy layers filled against the pairs they held.
+nodes, whose pairs the leaves mostly read anyway, are filled at insertion,
+and an insertion into the root's table completes it first.  The left clone
+and the parent share that table, and completion stores its pairs there, so
+no root pair is filled twice.  A sweep of at most four leaves has no larger
+node, and its root fills only the pairs its leaves read.  A leaf's lowest
+ancestor that is no lazy layer (an eager node, or the root) spans at most
+five leaves and each lazy layer above the leaf restores one edge that
+ancestor lacks, so at most four lazy layers are alive above a leaf: a
+two-leaf right child of a five-leaf node takes three insertions, and its
+leaves one more.  ``OfflineDso.demand`` counts the pairs the lazy layers
+filled against the pairs they held.
 
 The one range-tree routine, ``build_timeline``, takes the leaves as edge-id
 masks over one table of edge specs, and two schedules produce them:
@@ -33,13 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..graph import Edge, Graph, TieSource
+from ..graph import Edge, Graph, GraphFormatError, TieSource
 from ..weights import CompositeWeight as W
 from .incremental import insert_edge
 from .static import Demand, IncrementalDso
 
 
-class InvalidDelete(ValueError):
+class InvalidDelete(GraphFormatError):
     """Deletion of an edge that is not present at that timestep."""
 
 
@@ -154,7 +161,7 @@ def build_timeline(timeline: Timeline | DeletionSweep, seed: int = 0, *,
         return m
 
     root_mask = interval_mask(0, T)
-    root = IncrementalDso.build(_graph_for_mask(g0.n, edge_specs, root_mask), seed)
+    root = IncrementalDso.on_demand(_graph_for_mask(g0.n, edge_specs, root_mask), seed)
 
     def grow(dso: IncrementalDso, from_mask: int, to_mask: int, lo: int, hi: int) -> int:
         added = to_mask & ~from_mask

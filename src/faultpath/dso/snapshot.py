@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 
-from ..graph import Graph, TieSource
+from ..graph import Graph, GraphFormatError, TieSource
 from ..pathform import ProperForm, pf_intersects_interval
 from ..spt import SptForest
 from ..weights import CompositeWeight as W
@@ -25,8 +25,8 @@ MAGIC = b"FPDSO"
 FORMAT = 2
 
 
-class SnapshotError(ValueError):
-    pass
+class SnapshotError(GraphFormatError):
+    """A snapshot file that is malformed, truncated or of another format."""
 
 
 def save_dso(dso: IncrementalDso, path: str) -> None:

@@ -19,13 +19,16 @@ G - e tree, raises TieDetected.
 A table can also be filled on demand (``IncrementalDso.on_demand``): a
 pair's entries are computed the first time the pair is read, from the same
 routine, with one G - e tree cache per source read.  The two-failure solver
-uses it on its auxiliary graph, whose answers read a few of its pairs.  A
-reader of every pair completes the table first, source by source, keeping
-one source's trees alive at a time: ``build`` is exactly that completion,
-and ``insert_edge`` and ``save_dso`` complete an on-demand table before they
-read it, so a snapshot is never partial.  ``PairTable`` takes its per-pair
-routine as a parameter, so an insertion's lazy layer in the offline range
-tree is the same table with ``pair_table`` as its fill.
+uses it on its auxiliary graph, whose answers read a few of its pairs, and
+every offline range tree at its root.  A reader of every pair completes the
+table first, source by source, keeping one source's trees alive at a time:
+``build`` is exactly that completion, and ``insert_edge`` and ``save_dso``
+complete an on-demand table before they read it, so a snapshot is never
+partial.  Completion stores each pair it fills in the shared table too, so
+a table that several oracles share is completed once: a later completion
+only collects its pairs.  ``PairTable`` takes its per-pair routine as a
+parameter, so an insertion's lazy layer in the offline range tree is the
+same table with ``pair_table`` as its fill.
 """
 from __future__ import annotations
 
@@ -162,6 +165,8 @@ class PairTable(dict):
 
         Sources are filled one at a time and each one's cache is dropped
         when it is done, so at most one source's G - e trees are alive.
+        Each pair filled here is also stored in this table, so every oracle
+        that shares it reads it full and no pair is filled twice.
         """
         f = self.forest
         n = f.graph.n
@@ -172,8 +177,11 @@ class PairTable(dict):
             for v in range(u + 1, n):
                 if du[v] is None:
                     continue
-                sub = self.get((u, v))  # no fill: a miss is filled below
-                out[(u, v)] = self._fill(u, v, cache) if sub is None else sub
+                pair = (u, v)
+                sub = self.get(pair)  # no fill: a miss is filled below
+                if sub is None:
+                    sub = self[pair] = self._fill(u, v, cache)
+                out[pair] = sub
         return out
 
 

@@ -26,7 +26,9 @@ class Edge(NamedTuple):
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed graph or timeline files."""
+    """Raised for malformed input files: graphs, timelines, queries, and (as
+    the subclasses ``SnapshotError`` and ``InvalidDelete``) snapshots and
+    deletions of absent edges."""
 
 
 class Disconnected(ValueError):

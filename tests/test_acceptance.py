@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from faultpath.cli import _fit_slope, bench_dso_incremental, bench_frp3
+from faultpath.bench import _fit_slope, bench_dso_incremental, bench_frp3
 from faultpath.dso.incremental import insert_edge
 from faultpath.dso.offline import Timeline, build_timeline
 from faultpath.dso.static import IncrementalDso

@@ -9,7 +9,8 @@ import tempfile
 import pytest
 
 import faultpath
-from faultpath.cli import bench_frp3, main
+from faultpath.bench import bench_frp3
+from faultpath.cli import main
 from faultpath.dso.snapshot import load_dso
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import detour_rich, path, random_connected
@@ -74,7 +75,38 @@ def test_benchmark_tracer_finds_its_hooks(tmp_path, cmd):
          *cmd, "--graph", gpath, "--s", "0", "--out", str(tmp_path / "out.ndjson")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(trace.read_text())["calls"]["dso.build"] >= 1
+    calls = json.loads(trace.read_text())["calls"]
+    assert calls["offline"] >= 1 and calls["dso.insert"] >= 1
+
+
+IMPORT_PROBE = """
+import json, sys
+import faultpath.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "faultpath")
+at_start = loaded()
+code = faultpath.cli.main(sys.argv[1:])
+print(json.dumps([at_start, loaded(), code]))
+"""
+
+
+def test_cli_imports_only_the_modules_its_command_runs(tmp_path):
+    gpath = write_graph(tmp_path, detour_rich(8, seed=0))
+    src = os.path.join(os.path.dirname(faultpath.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, "frp", "--faults", "2", "--graph", gpath,
+         "--s", "0", "--t", "7", "--out", str(tmp_path / "out.ndjson")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    at_start, after, code = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert at_start == ["faultpath", "faultpath.cli", "faultpath.graph", "faultpath.weights"]
+    assert "faultpath.frp2" in after
+    unused = ("faultpath.frp3", "faultpath.dso.offline", "faultpath.dso.incremental",
+              "faultpath.dso.snapshot", "faultpath.reference", "faultpath.hardness",
+              "faultpath.families", "faultpath.bench")
+    assert [m for m in after if m.startswith(unused)] == []
 
 
 def test_dso_build_query_snapshot_round_trip(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
 from faultpath.cli import _load_timeline
-from faultpath.dso import offline
+from faultpath.dso import offline, static
 from faultpath.dso.incremental import insert_edge
 from faultpath.dso.offline import DeletionSweep, InvalidDelete, Timeline, build_timeline
 from faultpath.dso.static import Demand, IncrementalDso, PairTable
@@ -284,9 +286,10 @@ def _cli_timeline(tmp_path):
 
 
 def _lazy_layers(table):
-    """Lazy layers in the chain under a leaf's table, down to a full one."""
+    """Lazy layers in the chain under a leaf's table, down to a full one or
+    to the sweep's on-demand root, whose fill is the static one."""
     layers = 0
-    while isinstance(table, PairTable):
+    while isinstance(table, PairTable) and not isinstance(table.fill, partial):
         layers += 1
         table = table.fill.__self__.old_table
     return layers
@@ -321,8 +324,9 @@ def test_lazy_leaf_tables_equal_eager_ones(make, tmp_path, monkeypatch):
         eager_off, eager = _leaf_states(schedule)
     assert len(lazy) == len(eager) == off.steps + 1
     for (layers, trees, table), (eager_layers, eager_trees, eager_table) in zip(lazy, eager):
-        # a leaf's lowest eager ancestor spans at most five leaves, and each
-        # lazy layer below it restores one of its missing edges
+        # a leaf's lowest ancestor that is no lazy layer (an eager node, or
+        # the root) spans at most five leaves, and each lazy layer below it
+        # restores one of its missing edges
         assert layers <= 4 and eager_layers == 0
         assert trees == eager_trees
         assert list(table) == list(eager_table) and table == eager_table
@@ -330,3 +334,56 @@ def test_lazy_leaf_tables_equal_eager_ones(make, tmp_path, monkeypatch):
     assert off.node_stats == eager_off.node_stats
     assert off.peak_live <= math.ceil(math.log2(len(off.masks))) + 1
     assert 0 < off.demand.filled <= off.demand.held and eager_off.demand == Demand()
+
+
+def _root_fills(schedule, monkeypatch, on_leaf):
+    """Build ``schedule``; return how often the static fill computed each
+    pair, and the connected pairs of the root graph."""
+    calls = Counter()
+    fill = static._pair_entries
+
+    def counted(forest, u, v, trees):
+        calls[(u, v)] += 1
+        return fill(forest, u, v, trees)
+
+    # the root's PairTable looks the fill up when build_timeline makes it
+    monkeypatch.setattr(static, "_pair_entries", counted)
+    off = build_timeline(schedule, on_leaf=on_leaf)
+    root_mask = off.masks[0]
+    for m in off.masks[1:]:
+        root_mask &= m
+    root = SptForest.build(offline._graph_for_mask(schedule.graph0.n, off.edge_specs,
+                                                   root_mask))
+    held = {(u, v) for u in range(root.graph.n) for v in range(u + 1, root.graph.n)
+            if root.dist(u, v) is not None}
+    return calls, held
+
+
+def test_small_sweep_root_fills_only_the_pairs_its_leaves_read(monkeypatch):
+    # three leaves: both children of the root are lazy layers, so nothing
+    # completes the root and its pairs are filled on first read
+    graph = detour_rich(12, 0)
+    sweep = DeletionSweep(graph, _tree_edge_sweep(graph, 0).eids[:3])
+    t = graph.n - 1
+    answers = {}
+
+    def on_leaf(k, dso):
+        for eid in dso.forest.path_edge_ids(0, t):
+            answers[(k, eid)], _ = dso.query_edge_failure(0, t, eid)
+
+    calls, held = _root_fills(sweep, monkeypatch, on_leaf)
+    assert set(calls.values()) == {1} and set(calls) <= held
+    assert 0 < len(calls) < len(held)
+    for (k, eid), got in answers.items():
+        want = dist_avoiding(graph, 0, t, [sweep.eids[k], eid])
+        assert got is None and want is None or got.base == want.base
+
+
+@pytest.mark.parametrize("graph", [detour_rich(16, 0), random_connected(20, 0)],
+                         ids=["detour16", "random20"])
+def test_root_pairs_are_filled_once_when_eager_nodes_complete_it(graph, monkeypatch):
+    # both children of the root span three or more leaves: the left clone
+    # and the parent each complete the shared root table before inserting
+    calls, held = _root_fills(_tree_edge_sweep(graph, 0), monkeypatch,
+                              lambda k, dso: None)
+    assert set(calls) == held and set(calls.values()) == {1}
