@@ -205,13 +205,13 @@ class InsertionContext:
 
 
 def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int,
-               info, forms: dict) -> Optional[ProperForm]:
+               info, forms: dict, path: list) -> Optional[ProperForm]:
     """New entry (i, j) of pair (u, v) by the covering rule (module
-    docstring); ``info`` is the pair's ``_build_pair_info``, and ``forms``
-    keeps the proper form of each route R misses for the pair's next entry."""
+    docstring); ``info`` is the pair's ``_build_pair_info``, ``forms``
+    keeps the proper form of each route R misses for the pair's next entry,
+    and ``path`` is the vertex list of the new pi(u, v)."""
     X, routes = info
-    nf = ctx.new_forest
-    pa, pb = i, nf.hops(u, v) - j
+    pa, pb = i, len(path) - 1 - j
     best = None
     if X is None:
         # an old entry whose endpoints kept their distances names the same
@@ -219,8 +219,7 @@ def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int,
         best = ctx.old_table[(u, v)][(i, j)]
         if best is not None and not ctx.pf_survives(best):
             best = ctx.gate(ctx.form(best, u), u, v, pa, pb)
-    a = nf.vertex_at(u, v, pa)
-    b = nf.vertex_at(u, v, pb)
+    a, b = path[pa], path[pb]
     for ex, ey, P, Q, p, q, floor in routes:
         if best is not None and floor >= best.length:
             continue  # every candidate of the route is at least its floor
@@ -268,8 +267,9 @@ def pair_table(ctx: InsertionContext, u: int, v: int) -> dict:
         redo, sub = anchors(ctx.new_forest.hops(u, v)), {}
     info = ctx._build_pair_info(u, v, orientations)
     forms: dict = {}  # route -> its proper form, for this pair only
+    path = ctx.new_forest.path_vertices(u, v)
     for i, j in redo:
-        sub[(i, j)] = pair_entry(ctx, u, v, i, j, info, forms)
+        sub[(i, j)] = pair_entry(ctx, u, v, i, j, info, forms, path)
     return sub
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .dso.static import IncrementalDso
+from .dso.static import IncrementalDso, TieDetected
 from .graph import Disconnected, Graph, TIE_RANGE
 from .spt import ShortestPathTree, SptForest, dijkstra, without_tree_edge
 from .weights import CompositeWeight as W
@@ -43,6 +43,7 @@ def frp1_all(graph: Graph, s: int, t: int,
     """Delete each edge of pi(s, t) in turn and search again below it.
 
     ``spt`` is the tree of s in ``graph`` when the caller already has it.
+    A tied G - e tree raises TieDetected, since its path would not be unique.
     """
     if spt is None:
         spt = dijkstra(graph, s)
@@ -55,6 +56,8 @@ def frp1_all(graph: Graph, s: int, t: int,
     union: set[int] = set()
     for eid in pe:
         tree = without_tree_edge(graph, spt, eid)
+        if tree.tied:
+            raise TieDetected("G - e has two shortest paths from s")
         if tree.dist[t] is None:
             lengths.append(None)
             paths.append(None)
@@ -273,12 +276,15 @@ class BothOnAnswer:
 class Frp2Solver:
     """All two-failure s-t answers for one graph, built lazily per part."""
 
-    def __init__(self, graph: Graph, s: int, t: int, seed: int = 0):
+    def __init__(self, graph: Graph, s: int, t: int, seed: int = 0,
+                 spt: Optional[ShortestPathTree] = None):
+        """``spt`` is the tree of s in ``graph`` when the caller already has it."""
         self.graph = graph
         self.s = s
         self.t = t
         self.seed = seed
-        spt = dijkstra(graph, s)
+        if spt is None:
+            spt = dijkstra(graph, s)
         if spt.dist[t] is None:
             raise Disconnected(f"{s} and {t} are disconnected")
         self.path_verts = spt.path_vertices(t)

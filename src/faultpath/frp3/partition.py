@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..graph import Disconnected, Graph, TIE_RANGE
 from ..frp2 import AuxGraphH
-from ..spt import dijkstra
+from ..spt import ShortestPathTree, dijkstra
 from ..weights import CompositeWeight as W
 
 
@@ -25,6 +25,7 @@ class PaddedInstance:
     path_eids: list[int]
     pad: int            # artificial leading edges; real path edges start here
     k: int              # path has 2^k edges
+    spt: ShortestPathTree  # tree of s in graph
 
     @property
     def hops(self) -> int:
@@ -53,7 +54,37 @@ def pad_to_power_of_two(graph: Graph, s: int, t: int, seed: int = 0) -> PaddedIn
     new_s = chain[-1] if pad else s
     path_verts = list(reversed(chain)) + pv
     path_eids = list(reversed(pad_eids)) + pe
-    return PaddedInstance(g, new_s, t, path_verts, path_eids, pad, k)
+    if pad:
+        spt = _chain_head_tree(g, spt, path_verts[:pad + 1], path_eids[:pad])
+    return PaddedInstance(g, new_s, t, path_verts, path_eids, pad, k, spt)
+
+
+def _chain_head_tree(g: Graph, spt: ShortestPathTree, chain: list[int],
+                     chain_eids: list[int]) -> ShortestPathTree:
+    """The tree of the chain head in the padded graph ``g``, read off the
+    tree ``spt`` of s; ``chain`` runs from the head to s.
+
+    The chain hangs off s alone, so every route from the head runs down it
+    to s and then as in ``spt``: each vertex of the input keeps its parent
+    and its offers arrive in the same order, shifted by the chain's length.
+    The result is the tree Dijkstra builds from the head, ``tied`` included.
+    """
+    pad = len(chain_eids)
+    dist = spt.dist + [None] * pad
+    parent = spt.parent + [-1] * pad
+    parent_edge = spt.parent_edge + [None] * pad
+    depth = spt.depth + [0] * pad
+    dist[chain[0]] = W(0, 0)
+    for k, eid in enumerate(chain_eids):
+        v = chain[k + 1]
+        dist[v] = dist[chain[k]] + g.edges[eid].w
+        parent[v], parent_edge[v], depth[v] = chain[k], eid, k + 1
+    s, off = chain[-1], dist[chain[-1]]
+    for v, d in enumerate(spt.dist):
+        if d is not None and v != s:
+            dist[v] = off + d
+            depth[v] += pad
+    return ShortestPathTree(chain[0], dist, parent, parent_edge, depth, spt.tied)
 
 
 class BinaryPartition:

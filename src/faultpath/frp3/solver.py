@@ -66,7 +66,7 @@ class Frp3Solver:
         self.inst = pad_to_power_of_two(graph, s, t, seed)
         P = self.inst
         self.partition = BinaryPartition(P)
-        self.frp2 = Frp2Solver(P.graph, P.s, P.t, seed=seed)
+        self.frp2 = Frp2Solver(P.graph, P.s, P.t, seed=seed, spt=P.spt)
         self.aux = self.frp2.aux
         self.levels = {(i, parity): level_graph(self.aux, self.partition, i, parity)
                        for i in range(1, P.k + 1) for parity in (0, 1)}

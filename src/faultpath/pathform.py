@@ -13,6 +13,17 @@ which is the same path on the verified untied forests the oracle uses.
 rewritten as shortest-path / bridge / shortest-path in the current graph,
 and ``transform_avoiding`` additionally rejects candidates sharing an edge
 with a given interval of pi(u, v).
+
+The decision is made at segment ends first.  A prefix or suffix of a
+shortest walk is itself shortest, so "the prefix up to position i is
+shortest" holds up to the split point and fails after it, and "the
+suffix from position i is shortest" fails up to some point and holds
+from there on.  The segment ends are read in O(1) each, so a scan of
+them finds the one segment that holds the split; when the suffix from
+that segment's end is not shortest, no form exists and no position
+inside is probed.  Only then does a binary search run, inside that one
+segment.  It finds the split point a search over every position would
+find, so the form is the same.
 """
 from __future__ import annotations
 
@@ -88,10 +99,10 @@ def segs_length(segs) -> W:
 class CandidatePath:
     """Concatenation of segments with O(log) indexed access.
 
-    Supports ``vertex(i)`` for 0 <= i <= num_edges, ``edge(i)`` and
-    ``probe(i)``, which gives vertex i with the composite length of the first
-    i edges.  Segments must chain end-to-start; zero-edge segments are
-    dropped.
+    Supports ``vertex(i)`` for 0 <= i <= num_edges and ``edge(i)``;
+    ``cum_edges`` and ``cum_len`` give the edge count and composite length
+    up to each segment end.  Segments must chain end-to-start; zero-edge
+    segments are dropped.
     """
 
     __slots__ = ("segs", "cum_edges", "cum_len", "num_edges", "length", "start", "end")
@@ -140,22 +151,6 @@ class CandidatePath:
             return spt.parent_edge[spt.ancestor_at_depth(s[5], i - self.cum_edges[k] + 1)]
         return s[1]
 
-    def probe(self, i: int) -> tuple[int, W]:
-        """Vertex i and the composite length of the first i edges."""
-        if i == 0:
-            return self.start, ZERO
-        if i == self.num_edges:
-            return self.end, self.length
-        k = self._locate(i)
-        s = self.segs[k]
-        j = i - self.cum_edges[k]
-        base = self.cum_len[k]
-        if s[0] == "w":
-            spt = s[1]
-            z = spt.ancestor_at_depth(s[5], j)
-            return z, base + spt.dist[z]
-        return (s[4], base) if j == 0 else (s[5], base + s[3])
-
     def vertices(self) -> list[int]:
         return [self.vertex(i) for i in range(self.num_edges + 1)]
 
@@ -188,44 +183,60 @@ def pf_path(pf: ProperForm, forest: SptForest, start: Optional[int] = None) -> C
 def to_proper_form(path: CandidatePath, forest: SptForest) -> Optional[ProperForm]:
     """Rewrite ``path`` as prefix/bridge/suffix of ``forest``'s graph, or None.
 
-    Binary-searches the longest walk prefix whose length matches the tree
-    distance (prefixes of shortest paths are shortest, so the predicate is
-    monotone), then accepts if the remainder, with or without one bridge
-    edge, is itself a shortest path.
+    The split x is the end of the longest prefix whose length matches the
+    tree distance.  Prefixes of shortest walks are shortest, and so are
+    suffixes, so both predicates are monotone along the walk.  A scan of
+    the segment ends, O(1) each, finds the first segment whose end has no
+    shortest prefix; x lies inside it.  The remainder from that segment's
+    end must then be shortest, since every accepted form's remainder
+    contains it; if not, no form exists.  Otherwise a binary search inside
+    that one segment finds x, the same vertex a search over every position
+    finds.  The path is accepted if the remainder after x, with or without
+    one bridge edge, is itself a shortest path.
     """
-    ne = path.num_edges
     u = path.start
     v = path.end
-    du = forest.spts[u].dist
-    if ne == 0:
+    if path.num_edges == 0:
         return ProperForm(u, u, None, u, u, ZERO)
-
-    lo, hi = 0, ne  # predicate(lo) always true
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        z, plen = path.probe(mid)
-        if du[z] == plen:
-            lo = mid
-        else:
-            hi = mid - 1
-    j = lo
-    if j == ne:
+    du = forest.spts[u].dist
+    cum_len = path.cum_len
+    t = 0
+    for seg in path.segs:
+        if du[seg[5]] != cum_len[t + 1]:
+            break
+        t += 1
+    else:
         return ProperForm(u, v, None, v, v, du[v])
-
-    x, tail_x = path.probe(j)
     total = path.length
+    if forest.spts[seg[5]].dist[v] != total - cum_len[t + 1]:
+        return None
+
+    # x and y: the ends of the bridge edge inside segment t, with their
+    # prefix lengths px and py
+    base = cum_len[t]
+    if seg[0] == "e":
+        x, y, eid = seg[4], seg[5], seg[1]
+        px, py = base, base + seg[3]
+    else:
+        spt, x, y = seg[1], seg[4], seg[5]
+        dist = spt.dist
+        lo, hi = 0, seg[2] - 1  # depth of x, and of y less one
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            z = spt.ancestor_at_depth(seg[5], mid)
+            if du[z] == base + dist[z]:
+                lo, x = mid, z
+            else:
+                hi, y = mid - 1, z
+        eid = spt.parent_edge[y]
+        px, py = base + dist[x], base + dist[y]
     # remainder after one bridge edge
-    y, tail = path.probe(j + 1)
-    rest = total - tail
     dyv = forest.spts[y].dist[v]
-    if dyv is not None and dyv == rest:
-        eid = path.edge(j)
-        length = du[x] + forest.graph.edges[eid].w + dyv
-        return ProperForm(u, x, eid, y, v, length)
+    if dyv is not None and dyv == total - py:
+        return ProperForm(u, x, eid, y, v, du[x] + forest.graph.edges[eid].w + dyv)
     # remainder without a bridge (two shortest halves meeting at x)
-    rest_x = total - tail_x
     dxv = forest.spts[x].dist[v]
-    if dxv is not None and dxv == rest_x:
+    if dxv is not None and dxv == total - px:
         return ProperForm(u, x, None, x, v, du[x] + dxv)
     return None
 

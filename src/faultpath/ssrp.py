@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .dso.offline import DeletionSweep, build_timeline
-from .dso.static import IncrementalDso
+from .dso.static import IncrementalDso, TieDetected
 from .graph import Graph
 from .spt import ShortestPathTree, dijkstra, without_tree_edge
 
@@ -94,8 +94,10 @@ class SsrpResolver:
     def one_fault(self, eid: int, t: int) -> Optional[int]:
         row = self._one_fault.get(eid)
         if row is None:
-            row = without_tree_edge(self.graph, self.spt, eid).dist
-            self._one_fault[eid] = row
+            tree = without_tree_edge(self.graph, self.spt, eid)
+            if tree.tied:
+                raise TieDetected("G - e has two shortest paths from s")
+            row = self._one_fault[eid] = tree.dist
         d = row[t]
         return None if d is None else d.base
 

@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+# Sums are built straight from a tuple: the namedtuple constructor's keyword
+# handling costs more than the two integer additions, and the sums run in
+# every inner loop.
+_new = tuple.__new__
+
 
 class CompositeWeight(NamedTuple):
     """Lexicographically ordered (base, tie) weight."""
@@ -22,10 +27,10 @@ class CompositeWeight(NamedTuple):
     tie: int
 
     def __add__(self, other: "CompositeWeight") -> "CompositeWeight":  # type: ignore[override]
-        return CompositeWeight(self.base + other.base, self.tie + other.tie)
+        return _new(CompositeWeight, (self[0] + other[0], self[1] + other[1]))
 
     def __sub__(self, other: "CompositeWeight") -> "CompositeWeight":
-        return CompositeWeight(self.base - other.base, self.tie - other.tie)
+        return _new(CompositeWeight, (self[0] - other[0], self[1] - other[1]))
 
 
 W = CompositeWeight

@@ -6,9 +6,11 @@ from faultpath.families import cycle, detour_rich, path, random_connected
 from faultpath.frp2 import Frp2Solver, OffPathMatrix, build_H, frp1_all, \
     frp2_one_on_path, iter_required_pairs
 from faultpath.frp3.partition import pad_to_power_of_two
-from faultpath.graph import perturb_and_verify
+from faultpath.dso.static import TieDetected
+from faultpath.graph import Graph, perturb_and_verify
 from faultpath.reference import all_dists_avoiding, dist_avoiding, path_avoiding
-from faultpath.spt import dijkstra
+from faultpath.spt import SptForest, dijkstra
+from faultpath.weights import CompositeWeight as W
 
 
 def test_frp1_path_graph_all_unreachable():
@@ -261,3 +263,19 @@ def test_w_recurrence_monotonicity():
                     assert best <= u_row[b][0]
             if u_row[r] is not None:
                 assert wrow[r] == u_row[r][0]
+
+
+def _tied_without_0_3():
+    # every tree of G is untied, but without (0, 3) vertex 0 reaches 3 over
+    # 1 and over 2 at the same length (2, 3)
+    g = Graph(4)
+    for u, v, w in [(0, 3, W(1, 0)), (0, 1, W(1, 1)), (1, 3, W(1, 2)),
+                    (0, 2, W(1, 2)), (2, 3, W(1, 1)), (1, 2, W(1, 5))]:
+        g.add_edge(u, v, w)
+    assert not any(tree.tied for tree in SptForest.build(g).spts)
+    return g
+
+
+def test_frp1_rejects_tied_g_minus_e_tree():
+    with pytest.raises(TieDetected):
+        frp1_all(_tied_without_0_3(), 0, 3)

@@ -2,6 +2,8 @@ import math
 import random
 import sys
 
+import pytest
+
 from faultpath.families import cycle, detour_rich, fixed_c8_family, path, \
     random_connected
 from faultpath.frp2 import OffPathMatrix, build_H
@@ -148,3 +150,29 @@ def test_setup_runs_no_dijkstra_on_a_level_graph(monkeypatch):
     assert seen
     assert not any(g is level for g in seen for level in sol.levels.values())
     assert sol.aux is sol.frp2.aux
+
+
+@pytest.mark.parametrize("n", [12, 9], ids=["padded", "unpadded"])
+def test_setup_finds_pi_s_t_with_one_dijkstra(monkeypatch, n):
+    # the padded source's tree is read off the input source's tree, so
+    # set-up runs one search rooted at s in either graph
+    g = detour_rich(n, 0)
+    seen = []
+
+    def traced(graph, source, *args, **kwargs):
+        seen.append((graph, source))
+        return dijkstra(graph, source, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("faultpath") and getattr(mod, "dijkstra", None) is dijkstra:
+            monkeypatch.setattr(mod, "dijkstra", traced)
+    sol = Frp3Solver(g, 0, n - 1)
+    P = sol.inst
+    assert (P.pad > 0) == (n == 12)
+    roots = [(gr, src) for gr, src in seen
+             if (gr is g and src == 0) or (gr is P.graph and src == P.s)]
+    assert roots == [(g, 0)]
+    assert sol.frp2._spt is P.spt
+    full = dijkstra(P.graph, P.s)
+    for field in ("source", "dist", "parent", "parent_edge", "depth", "tied"):
+        assert getattr(P.spt, field) == getattr(full, field), field

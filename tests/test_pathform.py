@@ -1,20 +1,32 @@
 import random
 
+import pytest
+
 from conftest import edge_walk
-from faultpath.families import path, random_connected
+from faultpath.families import detour_rich, path, random_connected
 from faultpath.graph import perturb_and_verify
+from faultpath.dso.incremental import insert_edge
 from faultpath.dso.static import IncrementalDso
 from faultpath.pathform import (
-    CandidatePath, NotAPath,
-    pf_intersects_interval, pf_path, seg_edge, seg_walk,
+    CandidatePath, NotAPath, ProperForm,
+    join, pf_intersects_interval, pf_path, pf_segments, seg_edge, seg_walk,
     to_proper_form, transform_avoiding, walk,
 )
 from faultpath.reference import path_avoiding
 from faultpath.spt import SptForest
+from faultpath.weights import ZERO
 
 
 def forest_of(g):
     return SptForest.build(g)
+
+
+def _prefix_lengths(g, path):
+    """Composite length of the first i edges of ``path``, for every i."""
+    pre = [ZERO]
+    for eid in path.edge_ids():
+        pre.append(pre[-1] + g.edges[eid].w)
+    return pre
 
 
 def test_candidate_path_indexing(g_small):
@@ -25,8 +37,8 @@ def test_candidate_path_indexing(g_small):
         assert p.vertices() == f.path_vertices(0, v)
         assert p.edge_ids() == f.path_edge_ids(0, v)
         assert p.length == f.dist(0, v)
-        for i in range(p.num_edges + 1):
-            assert p.probe(i)[1] == f.dist(0, p.vertex(i))
+        for i, length in enumerate(_prefix_lengths(g_small, p)):
+            assert length == f.dist(0, p.vertex(i))
         # reversed traversal, read off the tree of v
         pr = CandidatePath([seg_walk(f.spts[v], 0)])
         assert pr.vertices() == list(reversed(p.vertices()))
@@ -184,3 +196,88 @@ def test_proper_form_faithfulness_one_fault():
                     assert pf.length == sum(
                         (g.edges[e].w for e in rp), start=f.dist(u, u))
 
+
+
+def linear_proper_form(path, forest):
+    """Reference for ``to_proper_form``: a linear scan of every position
+    finds the last one whose prefix is shortest, then the same bridge and
+    two-halves checks decide."""
+    u, v, ne = path.start, path.end, path.num_edges
+    if ne == 0:
+        return ProperForm(u, u, None, u, u, ZERO)
+    du = forest.spts[u].dist
+    verts, eids = path.vertices(), path.edge_ids()
+    pre = _prefix_lengths(forest.graph, path)
+    j = max(i for i in range(ne + 1) if du[verts[i]] == pre[i])
+    if j == ne:
+        return ProperForm(u, v, None, v, v, du[v])
+    x, y = verts[j], verts[j + 1]
+    dyv = forest.spts[y].dist[v]
+    if dyv is not None and dyv == pre[ne] - pre[j + 1]:
+        eid = eids[j]
+        return ProperForm(u, x, eid, y, v, du[x] + forest.graph.edges[eid].w + dyv)
+    dxv = forest.spts[x].dist[v]
+    if dxv is not None and dxv == pre[ne] - pre[j]:
+        return ProperForm(u, x, None, x, v, du[x] + dxv)
+    return None
+
+
+def _edge(e, a):
+    return [seg_edge(e.eid, a, e.other(a), e.w)]
+
+
+def _candidates(g, old, table, rng):
+    """Segment lists from u of the kinds the oracle gates, with the edges of
+    ``g`` and walks and stored forms read off ``old`` and its ``table``:
+    walk + edge + walk, stored form + edge + walk, and edge-by-edge walks
+    (random ones and one-fault replacement paths)."""
+    for _ in range(150):
+        u, v = rng.sample(range(g.n), 2)
+        # the newest edge always, which after an insertion is the inserted one
+        for e in rng.sample(list(g.edges.values()), 11) + [g.edges[max(g.edges)]]:
+            for a in (e.u, e.v):
+                yield join(walk(old, u, a), _edge(e, a), walk(old, e.other(a), v))
+        h = old.hops(u, v)
+        if h:
+            rp = path_avoiding(g, u, v, [old.edge_at(u, v, rng.randrange(h))])
+            if rp:
+                yield edge_walk(g, u, rp).segs
+        start, eids = u, []
+        for _ in range(rng.randint(1, 6)):
+            e = g.edges[rng.choice(g.adj[start])[1]]
+            eids.append(e.eid)
+            start = e.other(start)
+        yield edge_walk(g, u, eids).segs
+        a, b = min(u, v), max(u, v)
+        if h:
+            for pf in table[(a, b)].values():
+                if pf is not None:
+                    for _, eid, _, _ in g.adj[b][:3]:
+                        e = g.edges[eid]
+                        yield join(pf_segments(pf, old, a), _edge(e, b),
+                                   walk(old, e.other(b), rng.randrange(g.n)))
+
+
+@pytest.mark.parametrize("make", [lambda: detour_rich(12, 0), lambda: random_connected(20, 0)],
+                         ids=["detour12", "random20"])
+def test_boundary_scan_equals_linear_scan(make):
+    """``to_proper_form`` equals the linear-scan reference on candidates
+    gated against their own forest and, as ``pair_entry`` gates them, on
+    walks of the old forest gated against the forest after one insertion."""
+    g = make()
+    dso = IncrementalDso.build(g)
+    old, table = dso.forest, dso.table
+    x, y = next((a, b) for a in range(g.n) for b in range(g.n - 1, a, -1)
+                if not g.has_endpoints(a, b))
+    insert_edge(dso, x, y, 1)
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for graph, forest in ((g, old), (dso.graph, dso.forest)):
+        for segs in _candidates(graph, old, table, rng):
+            if segs is None or not any(seg[2] for seg in segs):
+                continue
+            path = CandidatePath(segs)
+            got = to_proper_form(path, forest)
+            assert got == linear_proper_form(path, forest), segs
+            outcomes[got is None] += 1
+    assert min(outcomes.values()) > 200, outcomes

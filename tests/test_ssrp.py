@@ -3,10 +3,14 @@ import random
 
 import pytest
 
+from faultpath import ssrp
+from faultpath.dso.static import TieDetected
 from faultpath.families import detour_rich, random_connected
+from faultpath.graph import Graph
 from faultpath.reference import all_dists_avoiding, required_ssrp2
 from faultpath.spt import dijkstra
-from faultpath.ssrp import SsrpResolver, ssrp2
+from faultpath.ssrp import SsrpResolver, SsrpStats, ssrp2
+from faultpath.weights import CompositeWeight as W
 
 
 def test_ssrp_exhaustive_n14():
@@ -77,3 +81,19 @@ def test_off_tree_failure_is_one_fault_value():
             got = res.answer(d1, d2, t)
             oracle = all_dists_avoiding(g, s, [d1, d2])[t]
             assert got == (None if oracle is None else oracle.base)
+
+def test_one_fault_rejects_tied_g_minus_e_tree(monkeypatch):
+    # without (0, 3) vertex 0 reaches 3 over 1 and over 2 at the same
+    # length; the sweep would raise first, so it is skipped here to reach
+    # the single-fault fallback's own check
+    g = Graph(4)
+    for u, v, w in [(0, 3, W(1, 0)), (0, 1, W(1, 1)), (1, 3, W(1, 2)),
+                    (0, 2, W(1, 2)), (2, 3, W(1, 1)), (1, 2, W(1, 5))]:
+        g.add_edge(u, v, w)
+    with pytest.raises(TieDetected):
+        SsrpResolver(g, 0)
+    monkeypatch.setattr(ssrp, "ssrp2", lambda *args: SsrpStats())
+    res = SsrpResolver(g, 0)
+    eid = next(e.eid for e in g.edges.values() if {e.u, e.v} == {0, 3})
+    with pytest.raises(TieDetected):
+        res.one_fault(eid, 3)
