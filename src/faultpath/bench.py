@@ -149,9 +149,9 @@ def bench_dso_incremental(sizes: list[int], seed: int, repeats: int) -> dict:
     CPU time of the single-threaded call keeps other processes on the
     machine from inflating the slope.  The sizes are timed round-robin, one
     insertion each per round, so a drift in machine speed during the run
-    hits every size alike.  Each row also counts the pairs and entries its
-    insertions held and kept as the old object, by identity outside the
-    timing (a null entry kept null counts).
+    hits every size alike.  Each row also counts the trees, pairs and
+    entries its insertions held and kept as the old object, by identity
+    outside the timing (a null entry kept null counts).
     """
     import random as _r
     state = []
@@ -166,8 +166,10 @@ def bench_dso_incremental(sizes: list[int], seed: int, repeats: int) -> dict:
                 if u != v and not dso.graph.has_endpoints(u, v):
                     break
             w = rng.randint(1, 50)
-            old = dso.table
+            old, old_spts = dso.table, dso.forest.spts
             times.append(_cpu_seconds(lambda: insert_edge(dso, u, v, w)))
+            kept.update(trees_held=n, trees_kept=sum(
+                new is tree for new, tree in zip(dso.forest.spts, old_spts)))
             for pair, sub in dso.table.items():
                 old_sub = old.get(pair, {})  # no entry is 0, a missing key's default
                 kept.update(pairs_held=1, pairs_kept=sub is old_sub, entries_held=len(sub),

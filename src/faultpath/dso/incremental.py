@@ -2,14 +2,37 @@
 
 Inserting an edge (x, y) of weight w does only the work the edge can change.
 
-- Trees.  The tree of source s is kept as the same object when neither
-  endpoint is reachable from s, or when both are and d(s, x) + w > d(s, y)
-  and d(s, y) + w > d(s, x): every route through the edge is then strictly
-  longer than one avoiding it, so Dijkstra settles every vertex with the
-  same distance and parent.  Every other tree is rebuilt, and a rebuilt
-  tree whose ``tied`` flag is set raises TieDetected.  A kept tree needs no
-  such check: no route through the edge is as short as its distances, so
-  it gains no second shortest path.
+- Trees.  The tree of source s is refreshed in closed form, with no
+  search (``_updated_tree``): one walk over the vertices whose distance
+  falls and their children, in O(n) with the copy it patches.  For
+  each orientation (a, b) of the new edge with d(s, a) finite, let
+  base = d(s, a) + w.  When d(s, b) < base the orientation changes
+  nothing; otherwise the walk runs down b's old tree from b, and a vertex
+  c improves when base + d(b, c) < d(s, c) or c was unreachable.  It then
+  takes its parent in b's tree (a, for b itself) and that parent's new
+  depth plus one.  A vertex that does not improve is not descended into.
+  A tree in which nothing improves is kept as the same object; any other
+  is a copy patched on the improved vertices, whose unchanged distances
+  share the old weight objects.  This is the tree Dijkstra builds on the
+  grown graph:
+
+  - A shortest path uses the new edge at most once, so the new distance
+    is min(d(s, c), d(s, x) + w + d(y, c), d(s, y) + w + d(x, c)), and the
+    part after the edge is old pi(b, c), whose last edge is c's parent
+    edge in b's tree.
+  - The improved set is closed under parents in b's tree: if c improves
+    and p is its parent there, then d(s, c) <= d(s, p) + w(p, c), so
+    base + d(b, p) < d(s, p) (subpaths of shortest paths are shortest).
+    So it is the subtree at b that the walk visits, and below a vertex
+    with base + d(b, c) > d(s, c) every descendant stays strictly worse.
+  - The two orientations cannot both improve, or tie, at one vertex:
+    adding d(s, x) + w <= d(s, y) and d(s, y) + w <= d(s, x), which both
+    would need at the edge's ends, gives 2w <= 0.
+  - Two shortest s-c paths in G + e cannot both avoid e (the old tree is
+    untied), nor both use it (they would cross it the same way, with the
+    old unique halves).  So a tie is exactly base + d(b, c) == d(s, c) at
+    a vertex the walk reaches, and it raises TieDetected.  A kept tree
+    gains no second shortest path.
 - Keep rule.  A pair (u, v) whose distance is unchanged keeps its path.
   Its floor, the least d(u, ex) + w + d(ey, v) over the orientations
   (ex, ey) of the new edge reachable from it, bounds every u-v walk through
@@ -61,7 +84,7 @@ forest and table, which the insertion replaces on the live oracle; the old
 table may itself be a lazy layer, and reading it fills it.  A fill is a
 pure function of that frozen structure, so it gives the eager sub-table,
 and a shared table may be filled by whichever reader comes first.  The
-trees are still rebuilt at insertion, so TieDetected is raised there.
+trees are updated at insertion, so TieDetected is raised there.
 """
 from __future__ import annotations
 
@@ -71,7 +94,7 @@ from ..pathform import (
     CandidatePath, ProperForm, join, pf_intersects_interval, pf_segments, seg_edge,
     to_proper_form, transform_avoiding, walk,
 )
-from ..spt import ShortestPathTree, SptForest, dijkstra
+from ..spt import ShortestPathTree, SptForest
 from ..weights import CompositeWeight as W
 from .static import Demand, IncrementalDso, PairTable, TieDetected, _pf_min_gated, anchors
 
@@ -237,12 +260,42 @@ def pair_entry(ctx: InsertionContext, u: int, v: int, i: int, j: int,
     return best
 
 
-def _keeps_tree(tree: ShortestPathTree, x: int, y: int, w: W) -> bool:
-    """Is the old tree of this source still its tree with (x, y, w) added?"""
-    dx, dy = tree.dist[x], tree.dist[y]
-    if dx is None or dy is None:
-        return dx is None and dy is None
-    return dx + w > dy and dy + w > dx
+def _updated_tree(tree: ShortestPathTree, old_spts: list, x: int, y: int, w: W,
+                  eid: int) -> ShortestPathTree:
+    """The tree of ``tree.source`` with edge ``eid`` = (x, y, w) added, read
+    off ``old_spts``, the trees before the insertion (module docstring):
+    ``tree`` itself when no distance falls.  Raises TieDetected when the
+    edge gives some vertex a second shortest path."""
+    old = tree.dist
+    for a, b in ((x, y), (y, x)):
+        if old[a] is None:
+            continue
+        base = old[a] + w
+        if old[b] is not None and not base < old[b]:
+            if base == old[b]:
+                raise TieDetected("inserted weight creates equal-length paths")
+            continue
+        # b improves, so the other orientation neither improves nor ties
+        dist, parent = list(old), list(tree.parent)
+        parent_edge, depth = list(tree.parent_edge), list(tree.depth)
+        dist[b], parent[b], parent_edge[b], depth[b] = base, a, eid, depth[a] + 1
+        spt_b = old_spts[b]
+        db, pb, eb = spt_b.dist, spt_b.parent, spt_b.parent_edge
+        children = spt_b.children()
+        todo = list(children[b])
+        for c in todo:
+            d = base + db[c]
+            if old[c] is not None and not d < old[c]:
+                if d == old[c]:
+                    raise TieDetected("inserted weight creates equal-length paths")
+                continue
+            p = pb[c]
+            dist[c], parent[c], parent_edge[c], depth[c] = d, p, eb[c], depth[p] + 1
+            todo.extend(children[c])
+        new = ShortestPathTree(tree.source, dist, parent, parent_edge, depth, tree.tied)
+        new.build_lca()
+        return new
+    return tree
 
 
 def _keeps_entry(pf: Optional[ProperForm], floor: Optional[W]) -> bool:
@@ -278,12 +331,13 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
                 demand: Optional[Demand] = None) -> int:
     """Add an edge and refresh the structure; returns the new edge id.
 
-    Rebuilds only the trees the edge can change; ``pair_table`` keeps each
-    entry the keep rule of the module docstring allows, and every other
-    stored interval entry is recomputed from the old structure.
-    Worst-case cost is one all-sources rebuild plus a constant amount of
-    work per stored interval entry.  Raises DuplicateEdge for parallel
-    inserts and TieDetected when a rebuilt tree has two shortest paths.
+    Updates each tree in closed form (``_updated_tree``); ``pair_table``
+    keeps each entry the keep rule of the module docstring allows, and
+    every other stored interval entry is recomputed from the old structure.
+    Worst-case cost is O(n) per tree, plus its lifting table when it
+    changes, plus a constant amount of work per stored interval entry.
+    Raises DuplicateEdge for parallel inserts and TieDetected when the new
+    edge gives some vertex two shortest paths.
 
     With a ``demand`` counter the new table is a lazy layer (module
     docstring) that counts its pairs there; without one every pair is
@@ -301,14 +355,9 @@ def insert_edge(dso: IncrementalDso, x: int, y: int, w_base: int,
         tie = dso.ties.next()
     w = W(w_base, tie)
     g2, eid = g.plus_edge(x, y, w, eid=eid)
-    spts = []
-    for s, tree in enumerate(dso.forest.spts):
-        if not _keeps_tree(tree, x, y, w):
-            tree = dijkstra(g2, s, with_lca=True)
-            if tree.tied:
-                raise TieDetected("inserted weight creates equal-length paths")
-        spts.append(tree)
-    new_forest = SptForest(g2, spts)
+    old_spts = dso.forest.spts
+    new_forest = SptForest(g2, [_updated_tree(tree, old_spts, x, y, w, eid)
+                                for tree in old_spts])
 
     ctx = InsertionContext(dso, new_forest, eid, x, y, w)
     table = PairTable(new_forest, ctx.fill, demand)

@@ -12,7 +12,7 @@ table serves only the leaves below it.  So the root's static table fills
 each pair on its first read (``IncrementalDso.on_demand``; its forest is
 built and tie-checked at once), and the insertions that make a node
 spanning at most two leaves are lazy layers (``insert_edge`` with this
-build's ``Demand`` counter): trees are rebuilt at once, but each pair's
+build's ``Demand`` counter): trees are updated at once, but each pair's
 sub-table is filled on its first read, from the layer below it.  Larger
 nodes, whose pairs the leaves mostly read anyway, are filled at insertion,
 and an insertion into the root's table completes it first.  The left clone

@@ -1,16 +1,19 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from faultpath.dso import incremental
+from faultpath.dso import incremental, offline
 from faultpath.dso.incremental import DuplicateEdge, TieDetected, insert_edge
 from faultpath.dso.offline import DeletionSweep, build_timeline
 from faultpath.dso.static import Demand, IncrementalDso
 from faultpath.families import detour_rich, random_connected
-from faultpath.graph import Graph, perturb_and_verify
+from faultpath.graph import Graph, TieSource, perturb_and_verify
 from faultpath.pathform import pf_intersects_interval
 from faultpath.reference import dist_avoiding, weak_classify
-from faultpath.spt import dijkstra
+from faultpath.spt import SptForest, dijkstra
+from faultpath.weights import CompositeWeight as W
 
 
 def check_all_queries(g, dso):
@@ -86,22 +89,33 @@ def test_reuse_matches_full_recompute(family, wmax, monkeypatch):
             present.add(frozenset((u, v)))
             inserts.append((u, v, rng.randint(1, wmax)))
     counts = {"entries": 0, "trees": 0}
+    keeps_entry, updated_tree = incremental._keeps_entry, incremental._updated_tree
 
-    def counting(name, fn):
-        def wrapped(*args):
-            hit = fn(*args)
-            counts[name] += hit
-            return hit
-        return wrapped
+    def counting_entries(*args):
+        hit = keeps_entry(*args)
+        counts["entries"] += hit
+        return hit
+
+    def counting_trees(tree, *args):
+        new = updated_tree(tree, *args)
+        counts["trees"] += new is tree  # a kept tree is the old object
+        return new
 
     with monkeypatch.context() as m:
-        m.setattr(incremental, "_keeps_entry", counting("entries", incremental._keeps_entry))
-        m.setattr(incremental, "_keeps_tree", counting("trees", incremental._keeps_tree))
+        m.setattr(incremental, "_keeps_entry", counting_entries)
+        m.setattr(incremental, "_updated_tree", counting_trees)
         shipped = _grown_states(g, inserts)
     assert counts["entries"] > 0 and counts["trees"] > 0  # the fast paths ran
-    # the reference keeps nothing: every entry goes through pair_entry
+    # the reference keeps nothing: every entry goes through pair_entry, and
+    # every tree is a full Dijkstra run on the grown graph
+    def rebuilt(graph, _updated):
+        forest = SptForest.build(graph)
+        assert not any(tree.tied for tree in forest.spts)
+        return forest
+
     monkeypatch.setattr(incremental, "_keeps_entry", lambda *args: False)
-    monkeypatch.setattr(incremental, "_keeps_tree", lambda *args: False)
+    monkeypatch.setattr(incremental, "_updated_tree", lambda tree, *args: tree)
+    monkeypatch.setattr(incremental, "SptForest", rebuilt)
     full = _grown_states(g, inserts)
     for step, (got, want) in enumerate(zip(shipped, full)):
         assert got[0] == want[0], f"table differs after insertion {step}"
@@ -277,7 +291,7 @@ def test_lazy_layer_fills_each_pair_on_first_read():
     eager, lazy = IncrementalDso.build(g), IncrementalDso.build(g)
     demand = Demand()
     assert insert_edge(lazy, x, y, 7, demand=demand) == insert_edge(eager, x, y, 7)
-    # the trees are rebuilt at insertion; only the table waits for reads
+    # the trees are updated at insertion; only the table waits for reads
     assert [(t.dist, t.parent_edge) for t in lazy.forest.spts] == \
         [(t.dist, t.parent_edge) for t in eager.forest.spts]
     assert len(lazy.table) == 0 and demand == Demand(0, len(eager.table))
@@ -301,3 +315,121 @@ def test_lazy_insert_detects_ties():
     t12 = next(e.w for e in g.edges.values() if {e.u, e.v} == {1, 2})
     with pytest.raises(TieDetected):
         insert_edge(dso, 0, 2, t01.base + t12.base, tie=t01.tie + t12.tie, demand=Demand())
+
+
+def _tree_fields(tree):
+    return (tree.source, tree.dist, tree.parent, tree.parent_edge, tree.depth,
+            tree.tied, tree._lift)
+
+
+def _check_update(g, spts, x, y, w, seen):
+    """Add (x, y, w) to g and update every tree of ``spts`` in closed form;
+    each must equal a fresh run on the grown graph, be the old object
+    exactly when no distance changed, and raise TieDetected exactly when
+    the fresh run is tied.  Returns the grown graph and its trees, or None
+    when some tree tied; ``seen`` counts the outcomes."""
+    g2, eid = g.plus_edge(x, y, w)
+    new = []
+    for tree in spts:
+        fresh = dijkstra(g2, tree.source, with_lca=True)
+        try:
+            got = incremental._updated_tree(tree, spts, x, y, w, eid)
+        except TieDetected:
+            assert fresh.tied
+            seen["tied"] += 1
+            new = None
+            continue
+        assert not fresh.tied
+        assert _tree_fields(got) == _tree_fields(fresh)
+        assert (got is tree) == (got.dist == tree.dist)
+        seen["kept" if got is tree else "updated"] += 1
+        if new is not None:
+            new.append(got)
+    return None if new is None else (g2, new)
+
+
+def test_updated_tree_equals_dijkstra_on_small_graphs():
+    # weights 1-4 with a mostly-zero tie channel, so that ties occur
+    seen = Counter()
+    rng = random.Random(2024)
+    for _ in range(1500):
+        n = rng.randint(2, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        m = rng.randrange(len(pairs))
+        g = Graph(n)
+        for u, v in pairs[:m]:
+            g.add_edge(u, v, W(rng.randint(1, 4), rng.choice((0, 0, 0, 1, 2))))
+        spts = [dijkstra(g, s, with_lca=True) for s in range(n)]
+        if any(tree.tied for tree in spts):
+            continue
+        x, y = pairs[m]
+        _check_update(g, spts, x, y, W(rng.randint(1, 4), rng.choice((0, 0, 1, 2))), seen)
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("family,n", [(detour_rich, 12), (random_connected, 20)],
+                         ids=["detour12", "random20"])
+def test_updated_tree_equals_dijkstra_in_deletion_sweeps(family, n, monkeypatch):
+    # every insertion of the range tree over G minus each of its edges
+    g = family(n, 0)
+    seen = Counter()
+    real = incremental.insert_edge
+
+    def checked(dso, *args, **kwargs):
+        old = dso.forest.spts
+        eid = real(dso, *args, **kwargs)
+        for s, tree in enumerate(dso.forest.spts):
+            assert _tree_fields(tree) == _tree_fields(dijkstra(dso.graph, s, with_lca=True))
+            assert (tree is old[s]) == (tree.dist == old[s].dist)
+            seen["kept" if tree is old[s] else "updated"] += 1
+        return eid
+
+    monkeypatch.setattr(offline, "insert_edge", checked)
+    build_timeline(DeletionSweep(g, sorted(g.edges)), on_leaf=lambda k, dso: None)
+    assert seen["kept"] > 0 and seen["updated"] > 0, seen
+
+
+def test_updated_tree_equals_dijkstra_on_c3_graphs():
+    # C3's insertion sequences: 2 x 20 on n=20, and the bench's at n=32/64/128
+    seen = Counter()
+    runs = [(random_connected(20, seed=400 + seed), TieSource(seed + 7919),
+             random.Random(f"c3:{seed}"), 20, (0, 60)) for seed in (5, 6)]
+    runs += [(random_connected(n, seed=3, extra=2 * n), TieSource(3 + 7919),
+              random.Random(f"bench-inc:3:{n}"), 3, (1, 50)) for n in (32, 64, 128)]
+    for g, ties, rng, count, (lo, hi) in runs:
+        spts = SptForest.build(g).spts
+        for _ in range(count):
+            while True:
+                u, v = rng.randrange(g.n), rng.randrange(g.n)
+                if u != v and not g.has_endpoints(u, v):
+                    break
+            g, spts = _check_update(g, spts, u, v, W(rng.randint(lo, hi), ties.next()), seen)
+    assert seen["kept"] > 0 and seen["updated"] > 0 and not seen["tied"], seen
+
+
+def test_insertions_run_no_dijkstra(monkeypatch):
+    g = random_connected(16, seed=5)
+    eager, lazy = IncrementalDso.build(g), IncrementalDso.build(g)
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return dijkstra(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("faultpath") and getattr(mod, "dijkstra", None) is dijkstra:
+            monkeypatch.setattr(mod, "dijkstra", traced)
+    rng = random.Random(16)
+    done = 0
+    while done < 8:
+        u, v = rng.randrange(16), rng.randrange(16)
+        if u == v or eager.graph.has_endpoints(u, v):
+            continue
+        w = rng.randint(1, 60)
+        insert_edge(eager, u, v, w)
+        insert_edge(lazy, u, v, w, demand=Demand())
+        done += 1
+    lazy.complete()
+    assert calls == []
+    assert lazy.table == eager.table
