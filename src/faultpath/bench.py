@@ -24,7 +24,7 @@ from .dso.incremental import insert_edge
 from .dso.static import IncrementalDso
 from .frp2 import Frp2Solver, iter_required_pairs
 from .frp3.solver import solve_3frp
-from .graph import dump_graph_text, load_graph
+from .graph import SizeError, dump_graph_text, load_graph
 from .reference import dist_avoiding
 
 
@@ -59,8 +59,8 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
     held, from one more solve in this process, outside the timing.
     """
     rows = []
-    for n in sizes:
-        g = families.detour_rich(n, seed=seed)
+    # every size is built before the first run, so one too small fails at once
+    for n, g in [(n, families.detour_rich(n, seed=seed)) for n in sizes]:
         edges = [(e.u, e.v, e.w.base) for _, e in sorted(g.edges.items())]
         with tempfile.NamedTemporaryFile("w", suffix=".graph", delete=False) as fh:
             fh.write(dump_graph_text(g.n, edges))
@@ -151,7 +151,8 @@ def bench_dso_incremental(sizes: list[int], seed: int, repeats: int) -> dict:
     insertion each per round, so a drift in machine speed during the run
     hits every size alike.  Each row also counts the trees, pairs and
     entries its insertions held and kept as the old object, by identity
-    outside the timing (a null entry kept null counts).
+    outside the timing (a null entry kept null counts).  A size whose
+    graph is complete before its last insertion is a ``SizeError``.
     """
     import random as _r
     state = []
@@ -161,6 +162,9 @@ def bench_dso_incremental(sizes: list[int], seed: int, repeats: int) -> dict:
                       _r.Random(f"bench-inc:{seed}:{n}"), [], Counter()))
     for _ in range(repeats):
         for n, dso, rng, times, kept in state:
+            if dso.graph.m == n * (n - 1) // 2:
+                raise SizeError(f"the {n}-vertex graph is complete after {len(times)} "
+                                "insertions: no vertex pair is left to insert")
             while True:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v and not dso.graph.has_endpoints(u, v):

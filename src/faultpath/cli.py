@@ -3,9 +3,10 @@
 All randomised commands take a mandatory seed, and every subcommand except
 ``bench`` is byte-deterministic for a fixed (command, input, seed).  Exit
 codes: 0 success, 1 verification mismatch, 2 usage (also a vertex out of
-range, or s and t disconnected), 3 format error (malformed graph, timeline,
-query or snapshot file, or one that is not UTF-8 text), 4 I/O error.  Every
-error is one line on stderr.
+range, s and t disconnected, or a size below what a family, a verify suite
+or a reduction can build), 3 format error (malformed graph, timeline, query
+or snapshot file, or one that is not UTF-8 text), 4 I/O error.  Every error
+is one line on stderr.
 
 Only the graph module is imported at start-up: each command imports the
 solver it runs, so ``frp --faults 2`` loads no three-failure or offline
@@ -18,7 +19,7 @@ import json
 import sys
 from typing import Optional
 
-from .graph import Disconnected, Graph, GraphFormatError, Overflow, check_edge, \
+from .graph import Disconnected, Graph, GraphFormatError, Overflow, SizeError, check_edge, \
     dump_graph_text, load_graph, parse_graph_text, parse_ints, perturb_and_verify
 
 EXIT_OK = 0
@@ -274,7 +275,14 @@ def cmd_gen(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# smallest n per verify suite; 0 is the random family's own minimum
+VERIFY_MIN_N = {"dso": 0, "frp2": 0, "frp3": 0, "ssrp": 3, "offline": 2}
+
+
 def cmd_verify(args) -> int:
+    need = VERIFY_MIN_N[args.suite]
+    if args.n < need:
+        raise UsageError(f"--n {args.n} is below the {args.suite} suite's minimum of {need}")
     out = _Out(args.out)
     bad = 0
     checked = 0
@@ -471,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("verify", help="subject-vs-oracle sweeps")
-    p.add_argument("--suite", choices=("dso", "frp2", "frp3", "ssrp", "offline"),
-                   required=True)
+    p.add_argument("--suite", choices=tuple(VERIFY_MIN_N), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seeds", type=int, required=True)
     p.add_argument("--out")
@@ -496,7 +503,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, Disconnected) as exc:
+    except (UsageError, Disconnected, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GraphFormatError, Overflow, UnicodeDecodeError) as exc:

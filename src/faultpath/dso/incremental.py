@@ -91,7 +91,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..pathform import (
-    CandidatePath, ProperForm, join, pf_intersects_interval, pf_segments, seg_edge,
+    ProperForm, join, pf_intersects_interval, pf_segments, seg_edge,
     to_proper_form, transform_avoiding, walk,
 )
 from ..spt import ShortestPathTree, SptForest
@@ -174,7 +174,7 @@ class InsertionContext:
             return transform_avoiding(segs, nf, u, v, pa, pb)
         pf = forms.get(key, False)
         if pf is False:
-            pf = forms[key] = to_proper_form(CandidatePath(segs), nf)
+            pf = forms[key] = to_proper_form(segs, nf)
         if pf is None or pf_intersects_interval(pf, nf, u, v, pa, pb):
             return None
         return pf

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from ..graph import Graph, TieSource
 from ..pathform import (
-    ProperForm, join, pf_intersects_interval, pf_path, pf_segments, segs_length,
+    ProperForm, join, pf_intersects_interval, pf_segments, segs_edge_ids, segs_length,
     transform_avoiding, walk,
 )
 from ..spt import SptForest, without_tree_edge
@@ -321,10 +321,8 @@ class IncrementalDso:
         pf = self._query_pos(u, v, pos, pos + 1)
         if pf is None:
             return None, None
-        if not want_path:
-            return pf.length, None
-        path = pf_path(pf, f, v if swap else u)
-        return pf.length, path.edge_ids()
+        path = segs_edge_ids(pf_segments(pf, f, v if swap else u)) if want_path else None
+        return pf.length, path
 
 
 def _pf_min(a: Optional[ProperForm], b: Optional[ProperForm]) -> Optional[ProperForm]:

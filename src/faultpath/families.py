@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, perturb_and_verify
+from .graph import Graph, SizeError, perturb_and_verify
 
 
 def random_connected(n: int, seed: int, extra: int | None = None,
                      wmax: int = 40) -> Graph:
     """Random spanning tree plus ``extra`` chords, weights in [1, wmax]."""
+    if n < 0:
+        raise SizeError(f"the random family needs n >= 0, got {n}")
     rng = random.Random(f"family-random:{n}:{seed}")
     edges: list[tuple[int, int, int]] = []
     present: set[tuple[int, int]] = set()
@@ -40,6 +42,8 @@ def detour_rich(n: int, seed: int) -> Graph:
     most replacement paths reuse long stretches of the original path, so the
     required (d1, d2, d3) triple count grows cubically.
     """
+    if n < 5:
+        raise SizeError(f"the detour family needs n >= 5, got {n}")
     rng = random.Random(f"family-detour:{n}:{seed}")
     edges = [(i, i + 1, 100) for i in range(n - 1)]
     for i in range(n - 2):

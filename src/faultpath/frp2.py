@@ -27,15 +27,10 @@ from .weights import CompositeWeight as W
 class Frp1Result:
     """Single-failure answers for every edge of pi(s, t)."""
 
-    path_verts: list[int]
     path_eids: list[int]
     lengths: list[Optional[W]]          # per path position
     paths: list[Optional[list[int]]]    # edge id lists
     union_edges: set[int]               # edges of all replacement paths
-
-    @property
-    def hops(self) -> int:
-        return len(self.path_eids)
 
 
 def frp1_all(graph: Graph, s: int, t: int,
@@ -49,7 +44,6 @@ def frp1_all(graph: Graph, s: int, t: int,
         spt = dijkstra(graph, s)
     if spt.dist[t] is None:
         raise Disconnected(f"{s} and {t} are disconnected")
-    pv = spt.path_vertices(t)
     pe = spt.path_edges(t)
     lengths: list[Optional[W]] = []
     paths: list[Optional[list[int]]] = []
@@ -66,7 +60,7 @@ def frp1_all(graph: Graph, s: int, t: int,
         p = tree.path_edges(t)
         paths.append(p)
         union.update(p)
-    return Frp1Result(pv, pe, lengths, paths, union)
+    return Frp1Result(pe, lengths, paths, union)
 
 
 def path_prefix(graph: Graph, path_eids: list[int]) -> list[W]:

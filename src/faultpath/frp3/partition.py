@@ -91,9 +91,7 @@ class BinaryPartition:
     """Markers and dyadic ranges over a 2^k-edge path."""
 
     def __init__(self, inst: PaddedInstance):
-        self.inst = inst
         self.k = inst.k
-        self.length = 1 << inst.k
 
     def ranges(self, i: int) -> list[tuple[int, int]]:
         """Level-i ranges as (lo, hi) edge-position spans, j ascending."""

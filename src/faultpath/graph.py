@@ -43,6 +43,10 @@ class Overflow(ValueError):
     """Weight sums would leave the supported integer range."""
 
 
+class SizeError(ValueError):
+    """A size below the smallest that a generator or reduction can build."""
+
+
 class Graph:
     """Undirected graph with composite weights and a sparse edge-id space.
 
@@ -175,6 +179,8 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int, int]]]:
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
             n, declared_m = parse_ints(parts[1:], lineno)
+            if n < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex count {n}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Graph, perturb_and_verify
+from .graph import Graph, SizeError, perturb_and_verify
 from .spt import dijkstra
 
 
@@ -40,7 +40,7 @@ def reduce_graph(g: Graph, seed: int = 0) -> ReductionInstance:
     """Build the 2FRP instance whose designated answers encode APSP on g."""
     n = g.n
     if n < 2:
-        raise ValueError("need at least two vertices")
+        raise SizeError(f"the hardness reduction needs a graph of at least 2 vertices, got {n}")
     n_big = g.base_weight_sum() + 1
     # vertex layout: originals 0..n-1, then s_0..s_{n+1}, then t_0..t_{n+1}
     s0 = n

@@ -1,12 +1,13 @@
 """Canonical path decompositions: shortest prefix + bridge edge + shortest suffix.
 
-A candidate path is held as a short list of implicit segments, indexable in
-O(log) without materialising vertices.  There are two kinds: a tree walk
+A candidate path is held as a short list of implicit segments, read at
+their ends without materialising vertices.  There are two kinds: a tree walk
 ``seg_walk(spt, v)``, the path from the tree's source down to v, and a
 single edge ``seg_edge``.  Every candidate is assembled the same way: ``walk``
 gives pi(a, b) read off a's tree, ``pf_segments`` expands a stored proper
 form (walk + bridge + walk, as in Bernstein and Karger, SODA 2009), and
-``join`` concatenates the parts, absorbing a missing one as None.  A walk
+``join`` concatenates the parts, absorbing a missing one as None;
+``segs_length`` and ``segs_edge_ids`` read a list's length and edges.  A walk
 toward a tree's root is read off the tree of its first vertex instead,
 which is the same path on the verified untied forests the oracle uses.
 ``to_proper_form`` decides in O(polylog) whether a candidate can be
@@ -27,7 +28,6 @@ find, so the form is the same.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .spt import SptForest
@@ -35,7 +35,7 @@ from .weights import CompositeWeight as W, ZERO
 
 
 class NotAPath(ValueError):
-    """Vertex sequence is not edge-connected."""
+    """A segment does not start where the previous one ends."""
 
 
 class ProperForm(NamedTuple):
@@ -96,66 +96,10 @@ def segs_length(segs) -> W:
     return total
 
 
-class CandidatePath:
-    """Concatenation of segments with O(log) indexed access.
-
-    Supports ``vertex(i)`` for 0 <= i <= num_edges and ``edge(i)``;
-    ``cum_edges`` and ``cum_len`` give the edge count and composite length
-    up to each segment end.  Segments must chain end-to-start; zero-edge
-    segments are dropped.
-    """
-
-    __slots__ = ("segs", "cum_edges", "cum_len", "num_edges", "length", "start", "end")
-
-    def __init__(self, segs):
-        segs = [s for s in segs if s[2] > 0]
-        self.segs = segs
-        cum_e = [0]
-        cum_l = [ZERO]
-        for s in segs:
-            cum_e.append(cum_e[-1] + s[2])
-            cum_l.append(cum_l[-1] + s[3])
-        self.cum_edges = cum_e
-        self.cum_len = cum_l
-        self.num_edges = cum_e[-1]
-        self.length = cum_l[-1]
-        if segs:
-            self.start = segs[0][4]
-            self.end = segs[-1][5]
-            prev_end = self.start
-            for s in segs:
-                if s[4] != prev_end:
-                    raise NotAPath("segments do not chain")
-                prev_end = s[5]
-        else:
-            self.start = self.end = None  # caller handles empty paths
-
-    def _locate(self, i: int) -> int:
-        return bisect_right(self.cum_edges, i) - 1 if i else 0
-
-    def vertex(self, i: int) -> int:
-        if i == self.num_edges:
-            return self.end
-        k = self._locate(i)
-        s = self.segs[k]
-        j = i - self.cum_edges[k]
-        if s[0] == "w":
-            return s[1].ancestor_at_depth(s[5], j)
-        return s[4] if j == 0 else s[5]
-
-    def edge(self, i: int) -> int:
-        k = self._locate(i)
-        s = self.segs[k]
-        if s[0] == "w":
-            spt = s[1]
-            return spt.parent_edge[spt.ancestor_at_depth(s[5], i - self.cum_edges[k] + 1)]
-        return s[1]
-
-    def vertices(self) -> list[int]:
-        return [self.vertex(i) for i in range(self.num_edges + 1)]
-
-    def edge_ids(self) -> list[int]:
-        return [self.edge(i) for i in range(self.num_edges)]
+def segs_edge_ids(segs) -> list[int]:
+    """Edge ids of a segment list, in walk order."""
+    return [eid for seg in segs
+            for eid in (seg[1].path_edges(seg[5]) if seg[0] == "w" else (seg[1],))]
 
 
 def pf_segments(pf: ProperForm, forest: SptForest, start: int):
@@ -172,16 +116,14 @@ def pf_segments(pf: ProperForm, forest: SptForest, start: int):
     return join(walk(forest, a, x), bridge, walk(forest, y, b))
 
 
-def pf_path(pf: ProperForm, forest: SptForest, start: Optional[int] = None) -> CandidatePath:
-    return CandidatePath(pf_segments(pf, forest, pf.u if start is None else start))
-
-
 # ---------------------------------------------------------------------------
 # the decomposition and transform
 # ---------------------------------------------------------------------------
 
-def to_proper_form(path: CandidatePath, forest: SptForest) -> Optional[ProperForm]:
-    """Rewrite ``path`` as prefix/bridge/suffix of ``forest``'s graph, or None.
+def to_proper_form(segs, forest: SptForest) -> Optional[ProperForm]:
+    """Rewrite the walk of the nonempty segment list ``segs`` as
+    prefix/bridge/suffix of ``forest``'s graph, or None; NotAPath if the
+    segments do not chain end to start.
 
     The split x is the end of the longest prefix whose length matches the
     tree distance.  Prefixes of shortest walks are shortest, and so are
@@ -191,23 +133,27 @@ def to_proper_form(path: CandidatePath, forest: SptForest) -> Optional[ProperFor
     end must then be shortest, since every accepted form's remainder
     contains it; if not, no form exists.  Otherwise a binary search inside
     that one segment finds x, the same vertex a search over every position
-    finds.  The path is accepted if the remainder after x, with or without
+    finds.  The walk is accepted if the remainder after x, with or without
     one bridge edge, is itself a shortest path.
     """
-    u = path.start
-    v = path.end
-    if path.num_edges == 0:
-        return ProperForm(u, u, None, u, u, ZERO)
+    u, v = segs[0][4], segs[-1][5]
+    # cum_len[k]: length of the first k segments
+    cum_len = [ZERO]
+    end = u
+    for seg in segs:
+        if seg[4] != end:
+            raise NotAPath("segments do not chain")
+        end = seg[5]
+        cum_len.append(cum_len[-1] + seg[3])
     du = forest.spts[u].dist
-    cum_len = path.cum_len
     t = 0
-    for seg in path.segs:
+    for seg in segs:
         if du[seg[5]] != cum_len[t + 1]:
             break
         t += 1
     else:
         return ProperForm(u, v, None, v, v, du[v])
-    total = path.length
+    total = cum_len[-1]
     if forest.spts[seg[5]].dist[v] != total - cum_len[t + 1]:
         return None
 
@@ -254,10 +200,9 @@ def pf_intersects_interval(pf: ProperForm, forest: SptForest, u: int, v: int,
     b_vtx = spt_u.ancestor_at_depth(v, pb)
     if pf.x != pf.u and spt_u.root_paths_share_edge(pf.x, a_vtx, b_vtx):
         return True
-    if pf.y != pf.v:
-        # seen from v the interval runs [b_vtx .. a_vtx]
-        if spt_v.root_paths_share_edge(pf.y, b_vtx, a_vtx):
-            return True
+    # seen from v the interval runs [b_vtx .. a_vtx]
+    if pf.y != pf.v and spt_v.root_paths_share_edge(pf.y, b_vtx, a_vtx):
+        return True
     if pf.bridge is None:
         return False
     pos = forest.edge_pos(u, v, pf.bridge)
@@ -271,13 +216,8 @@ def transform_avoiding(segs, forest: SptForest, u: int, v: int,
     ``segs`` may be None (absorbing null input) or a segment list whose walk
     runs u -> v.
     """
-    if segs is None:
-        return None
-    path = CandidatePath(segs)
-    pf = to_proper_form(path, forest)
-    if pf is None:
-        return None
-    if pf_intersects_interval(pf, forest, u, v, pa, pb):
+    pf = None if segs is None else to_proper_form(segs, forest)
+    if pf is None or pf_intersects_interval(pf, forest, u, v, pa, pb):
         return None
     return pf
 

@@ -318,10 +318,6 @@ class SptForest:
         """Position (hops from u) of z on pi(u, v); z must be on the path."""
         return self.spts[u].depth[z]
 
-    def vertex_at(self, u: int, v: int, pos: int) -> int:
-        """The vertex at ``pos`` hops from u along pi(u, v)."""
-        return self.spts[u].ancestor_at_depth(v, pos)
-
     def edge_at(self, u: int, v: int, pos: int) -> int:
         """Edge id at position ``pos`` (between pos and pos+1) on pi(u, v)."""
         child = self.spts[u].ancestor_at_depth(v, pos + 1)

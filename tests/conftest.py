@@ -1,17 +1,18 @@
 import pytest
 
 from faultpath.families import random_connected
-from faultpath.pathform import CandidatePath, seg_edge
+from faultpath.pathform import seg_edge
 
 
 def edge_walk(g, start, eids):
-    """The walk from ``start`` along ``eids``, one edge segment per edge."""
+    """The segment list of the walk from ``start`` along ``eids``, one edge
+    segment per edge."""
     segs = []
     for eid in eids:
         e = g.edges[eid]
         segs.append(seg_edge(eid, start, e.other(start), e.w))
         start = e.other(start)
-    return CandidatePath(segs)
+    return segs
 
 
 @pytest.fixture

@@ -288,6 +288,8 @@ MALFORMED_FILES = {
     "tri_plus": "p 3 2\ne 0 1 3\ne 1 2 4\n+ 0 1 5\n",
     "tri_minus": "p 3 2\ne 0 1 3\ne 1 2 4\n- 0 1\n",
     "cyc4": "p 4 4\ne 0 1 3\ne 1 2 4\ne 2 3 5\ne 3 0 20\n",
+    "neg_n": "p -1 0\n",
+    "single": "p 1 0\n",
 }
 QUERY = ["dso", "query", "--u", "0", "--fu", "0", "--fv", "1"]
 OFFLINE = ["dso", "offline", "--timeline"]
@@ -360,6 +362,25 @@ def without_pairs(data: bytes) -> bytes:
                  id="bench-size-not-integer"),
     pytest.param(2, ["bench", "--suite", "dso-build", "--sizes", "8", "--repeats", "0"],
                  id="bench-repeats-zero"),
+    pytest.param(3, ["dso", "build", "--graph", "{neg_n}", "--out", "{neg_n}.dso"],
+                 id="graph-negative-n"),
+    pytest.param(2, ["bench", "--suite", "dso-incremental", "--sizes", "3", "--repeats", "1"],
+                 id="bench-no-pair-left"),
+    # sizes a generator cannot build
+    pytest.param(2, ["gen", "family", "--family", "detour", "--n", "4", "--out", "{tri}.out"],
+                 id="gen-detour-too-small"),
+    pytest.param(2, ["gen", "family", "--family", "random", "--n", "-1", "--out", "{tri}.out"],
+                 id="gen-random-negative"),
+    pytest.param(2, ["bench", "--suite", "frp2", "--sizes", "4", "--repeats", "1"],
+                 id="bench-frp2-too-small"),
+    pytest.param(2, ["bench", "--suite", "frp3", "--sizes", "4", "--repeats", "1"],
+                 id="bench-frp3-too-small"),
+    pytest.param(2, ["verify", "--suite", "ssrp", "--n", "2", "--seeds", "1"],
+                 id="verify-ssrp-too-small"),
+    pytest.param(2, ["verify", "--suite", "offline", "--n", "1", "--seeds", "1"],
+                 id="verify-offline-too-small"),
+    pytest.param(2, ["gen", "hardness", "--graph", "{single}", "--out", "{single}.out",
+                     "--map", "{single}.map"], id="gen-hardness-one-vertex"),
 ])
 def test_malformed_input_exits_with_one_line(tmp_path, code, args):
     paths = {}

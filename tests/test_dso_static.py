@@ -10,7 +10,7 @@ from faultpath.dso.static import IncrementalDso, IntervalNotOnPath, anchors, \
 from faultpath.families import cycle, detour_rich, path, random_connected
 from faultpath.frp2 import build_H
 from faultpath.graph import Graph
-from faultpath.pathform import pf_intersects_interval, pf_path
+from faultpath.pathform import pf_intersects_interval, pf_segments, segs_edge_ids
 from faultpath.reference import dist_avoiding, path_avoiding, weak_classify
 from faultpath.spt import SptForest, dijkstra
 from faultpath.weights import CompositeWeight as W
@@ -216,7 +216,7 @@ def test_replacement_forms_match_reference(make_forest):
                     assert pf is None
                     continue
                 assert pf is not None
-                assert pf_path(pf, f).edge_ids() == want
+                assert segs_edge_ids(pf_segments(pf, f, pf.u)) == want
                 assert pf.length == dist_avoiding(g, u, v, [eid])
                 checked += 1
     assert checked > 100

@@ -8,8 +8,8 @@ from faultpath.graph import perturb_and_verify
 from faultpath.dso.incremental import insert_edge
 from faultpath.dso.static import IncrementalDso
 from faultpath.pathform import (
-    CandidatePath, NotAPath, ProperForm,
-    join, pf_intersects_interval, pf_path, pf_segments, seg_edge, seg_walk,
+    NotAPath, ProperForm,
+    join, pf_intersects_interval, pf_segments, seg_edge, seg_walk, segs_edge_ids, segs_length,
     to_proper_form, transform_avoiding, walk,
 )
 from faultpath.reference import path_avoiding
@@ -21,34 +21,48 @@ def forest_of(g):
     return SptForest.build(g)
 
 
-def _prefix_lengths(g, path):
-    """Composite length of the first i edges of ``path``, for every i."""
+def expand(segs):
+    """Vertices and edge ids of a segment list, read off each walk's tree
+    by its own ``path_vertices`` and ``path_edges``."""
+    verts, eids = [segs[0][4]], []
+    for kind, obj, _, _, _, end in segs:
+        if kind == "w":
+            verts += obj.path_vertices(end)[1:]
+            eids += obj.path_edges(end)
+        else:
+            verts.append(end)
+            eids.append(obj)
+    return verts, eids
+
+
+def _prefix_lengths(g, eids):
+    """Composite length of the first i edges of ``eids``, for every i."""
     pre = [ZERO]
-    for eid in path.edge_ids():
+    for eid in eids:
         pre.append(pre[-1] + g.edges[eid].w)
     return pre
 
 
-def test_candidate_path_indexing(g_small):
+def test_segs_edge_ids_and_length(g_small):
     f = forest_of(g_small)
     for v in range(1, g_small.n):
         segs = [seg_walk(f.spts[0], v)]
-        p = CandidatePath(segs)
-        assert p.vertices() == f.path_vertices(0, v)
-        assert p.edge_ids() == f.path_edge_ids(0, v)
-        assert p.length == f.dist(0, v)
-        for i, length in enumerate(_prefix_lengths(g_small, p)):
-            assert length == f.dist(0, p.vertex(i))
+        assert segs_edge_ids(segs) == f.path_edge_ids(0, v)
+        assert segs_length(segs) == f.dist(0, v)
         # reversed traversal, read off the tree of v
-        pr = CandidatePath([seg_walk(f.spts[v], 0)])
-        assert pr.vertices() == list(reversed(p.vertices()))
-        assert pr.length == p.length
+        back = [seg_walk(f.spts[v], 0)]
+        assert segs_edge_ids(back) == segs_edge_ids(segs)[::-1]
+        assert segs_length(back) == segs_length(segs)
+    # walk + edge + walk
+    for e in g_small.edges.values():
+        segs = join(walk(f, 0, e.u), _edge(e, e.u), walk(f, e.v, 5))
+        assert segs_edge_ids(segs) == f.path_edge_ids(0, e.u) + [e.eid] + f.path_edge_ids(e.v, 5)
+        assert segs_length(segs) == f.dist(0, e.u) + e.w + f.dist(e.v, 5)
 
 
 def test_to_proper_form_shortest_path_is_degenerate(g_small):
     f = forest_of(g_small)
-    p = CandidatePath([seg_walk(f.spts[2], 9)])
-    pf = to_proper_form(p, f)
+    pf = to_proper_form([seg_walk(f.spts[2], 9)], f)
     assert pf is not None and pf.bridge is None and pf.x == 9
     assert pf.length == f.dist(2, 9)
 
@@ -68,19 +82,28 @@ def test_to_proper_form_recovers_bridge_decomposition(g_mid):
             segs.append(seg_edge(e.eid, e.u, e.v, e.w))
             if e.v != v:
                 segs.append(seg_walk(f.spts[e.v], v))
-            try:
-                p = CandidatePath(segs)
-            except NotAPath:
-                continue
-            pf = to_proper_form(p, f)
+            pf = to_proper_form(segs, f)
             if pf is None:
                 continue
             hits += 1
             # the decomposition must re-derive the same length as the walk
             # only when the walk itself was minimal among proper forms
-            assert pf.length <= p.length
+            assert pf.length <= segs_length(segs)
             assert pf.u == u and pf.v == v
     assert hits > 10
+
+
+def test_segments_that_do_not_chain_raise(g_small):
+    f = forest_of(g_small)
+    e = next(e for e in g_small.edges.values() if not {0, 3, 7} & {e.u, e.v})
+    whole = join(walk(f, 0, e.u), _edge(e, e.u), walk(f, e.v, 7))
+    # the edge, or the last walk, starts away from the previous segment's end
+    for k, seg in ((1, _edge(e, e.v)[0]), (2, seg_walk(f.spts[3], 7))):
+        broken = whole[:k] + [seg] + whole[k + 1:]
+        with pytest.raises(NotAPath):
+            to_proper_form(broken, f)
+        with pytest.raises(NotAPath):
+            transform_avoiding(broken, f, 0, 7, 0, 1)
 
 
 def test_walk_reversed_is_the_reverse_path(g_small):
@@ -88,10 +111,11 @@ def test_walk_reversed_is_the_reverse_path(g_small):
     for a in range(g_small.n):
         assert walk(f, a, a) == []
         for b in range(a + 1, g_small.n):
-            ab, ba = CandidatePath(walk(f, a, b)), CandidatePath(walk(f, b, a))
-            assert ba.vertices() == ab.vertices()[::-1]
-            assert ba.edge_ids() == ab.edge_ids()[::-1]
-            assert ba.length == ab.length == f.dist(a, b)
+            ab, ba = walk(f, a, b), walk(f, b, a)
+            (va, ea), (vb, eb) = expand(ab), expand(ba)
+            assert vb == va[::-1]
+            assert eb == ea[::-1]
+            assert segs_length(ba) == segs_length(ab) == f.dist(a, b)
 
 
 def test_walk_to_unreachable_vertex_is_none():
@@ -101,7 +125,7 @@ def test_walk_to_unreachable_vertex_is_none():
     assert walk(f, 0, 1) is not None
 
 
-def test_pf_path_from_v_reverses_pf_path_from_u(g_mid):
+def test_pf_segments_from_v_reverse_those_from_u(g_mid):
     dso = IncrementalDso.build(g_mid)
     f = dso.forest
     checked = 0
@@ -109,10 +133,11 @@ def test_pf_path_from_v_reverses_pf_path_from_u(g_mid):
         for pf in sub.values():
             if pf is None:
                 continue
-            fwd, back = pf_path(pf, f, pf.u), pf_path(pf, f, pf.v)
-            assert back.vertices() == fwd.vertices()[::-1]
-            assert back.edge_ids() == fwd.edge_ids()[::-1]
-            assert back.length == fwd.length == pf.length
+            fwd, back = pf_segments(pf, f, pf.u), pf_segments(pf, f, pf.v)
+            (vf, ef), (vb, eb) = expand(fwd), expand(back)
+            assert vb == vf[::-1]
+            assert eb == ef[::-1]
+            assert segs_length(back) == segs_length(fwd) == pf.length
             checked += 1
     assert checked > 100
 
@@ -131,8 +156,7 @@ def test_three_piece_concatenation_rejected():
     eids = []
     for a, b in ((0, 1), (1, 2), (2, 3)):
         eids.append(next(e.eid for e in g.edges.values() if {e.u, e.v} == {a, b}))
-    p = edge_walk(g, 0, eids)
-    assert to_proper_form(p, f) is None
+    assert to_proper_form(edge_walk(g, 0, eids), f) is None
 
 
 def test_transform_null_absorbing(g_small):
@@ -143,10 +167,10 @@ def test_transform_null_absorbing(g_small):
 def test_transform_rejects_interval_overlap():
     g = path(5, weights=[2, 3, 4, 5])
     f = forest_of(g)
-    p = CandidatePath([seg_walk(f.spts[0], 4)])
+    segs = [seg_walk(f.spts[0], 4)]
     # pi(0,4) itself must be rejected against any of its own intervals
-    assert transform_avoiding(p.segs, f, 0, 4, 1, 2) is None
-    assert transform_avoiding(p.segs, f, 0, 4, 0, 4) is None
+    assert transform_avoiding(segs, f, 0, 4, 1, 2) is None
+    assert transform_avoiding(segs, f, 0, 4, 0, 4) is None
 
 
 def test_intersects_interval_matches_edge_sets(g_mid):
@@ -198,16 +222,14 @@ def test_proper_form_faithfulness_one_fault():
 
 
 
-def linear_proper_form(path, forest):
+def linear_proper_form(segs, forest):
     """Reference for ``to_proper_form``: a linear scan of every position
     finds the last one whose prefix is shortest, then the same bridge and
     two-halves checks decide."""
-    u, v, ne = path.start, path.end, path.num_edges
-    if ne == 0:
-        return ProperForm(u, u, None, u, u, ZERO)
+    verts, eids = expand(segs)
+    u, v, ne = verts[0], verts[-1], len(eids)
     du = forest.spts[u].dist
-    verts, eids = path.vertices(), path.edge_ids()
-    pre = _prefix_lengths(forest.graph, path)
+    pre = _prefix_lengths(forest.graph, eids)
     j = max(i for i in range(ne + 1) if du[verts[i]] == pre[i])
     if j == ne:
         return ProperForm(u, v, None, v, v, du[v])
@@ -241,13 +263,13 @@ def _candidates(g, old, table, rng):
         if h:
             rp = path_avoiding(g, u, v, [old.edge_at(u, v, rng.randrange(h))])
             if rp:
-                yield edge_walk(g, u, rp).segs
+                yield edge_walk(g, u, rp)
         start, eids = u, []
         for _ in range(rng.randint(1, 6)):
             e = g.edges[rng.choice(g.adj[start])[1]]
             eids.append(e.eid)
             start = e.other(start)
-        yield edge_walk(g, u, eids).segs
+        yield edge_walk(g, u, eids)
         a, b = min(u, v), max(u, v)
         if h:
             for pf in table[(a, b)].values():
@@ -276,8 +298,7 @@ def test_boundary_scan_equals_linear_scan(make):
         for segs in _candidates(graph, old, table, rng):
             if segs is None or not any(seg[2] for seg in segs):
                 continue
-            path = CandidatePath(segs)
-            got = to_proper_form(path, forest)
-            assert got == linear_proper_form(path, forest), segs
+            got = to_proper_form(segs, forest)
+            assert got == linear_proper_form(segs, forest), segs
             outcomes[got is None] += 1
     assert min(outcomes.values()) > 200, outcomes

@@ -113,7 +113,6 @@ def test_forest_path_positions(g_mid):
             for pos, z in enumerate(pv):
                 assert f.on_path(u, v, z)
                 assert f.path_pos(u, v, z) == pos
-                assert f.vertex_at(u, v, pos) == z
             for z in range(g_mid.n):
                 if z not in pv:
                     assert not f.on_path(u, v, z)
