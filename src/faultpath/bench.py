@@ -25,7 +25,7 @@ from .dso.static import IncrementalDso
 from .frp2 import Frp2Solver, iter_required_pairs
 from .frp3.solver import solve_3frp
 from .graph import SizeError, dump_graph_text, load_graph
-from .reference import dist_avoiding
+from .reference import dist_avoiding, path_avoiding
 
 
 def machine_info() -> dict:
@@ -206,7 +206,9 @@ def bench_frp2(sizes: list[int], seed: int, repeats: int) -> dict:
     reference Dijkstra per pair, and a mismatch is a pair whose answers
     differ.  The discipline is ``dso-build``'s: CPU time, sizes timed
     round-robin.  Each row also counts the pairs of H's DSO table that the
-    answers filled against the connected pairs it would hold when full.
+    answers filled against the connected pairs it would hold when full, and,
+    outside the timing, the pairs whose ``rp2_path`` differs from the
+    reference path (``path_mismatches``).
     """
     state = [(n, families.detour_rich(n, seed=seed), [], []) for n in sizes]
     sols: dict = {}
@@ -224,8 +226,9 @@ def bench_frp2(sizes: list[int], seed: int, repeats: int) -> dict:
             times.append(_cpu_seconds(answer_all))
             naive.append(_cpu_seconds(answer_naive))
     report = _cpu_report("frp2", [(n, times) for n, _, times, _ in state])
-    for row, (n, _, _, naive) in zip(report["sizes"], state):
-        h_dso = sols[n].h_dso
+    for row, (n, g, _, naive) in zip(report["sizes"], state):
+        sol = sols[n]
+        h_dso = sol.h_dso
         hn = h_dso.graph.n
         row.update({
             "pairs": len(got[n]),
@@ -236,6 +239,9 @@ def bench_frp2(sizes: list[int], seed: int, repeats: int) -> dict:
             "h_pairs_held": sum(1 for u in range(hn) for v in range(u + 1, hn)
                                 if h_dso.forest.dist(u, v) is not None),
         })
+        row["path_mismatches"] = sum(
+            1 for p, _ in got[n]
+            if sol.rp2_path(sol.pos_on_st(p[0]), p[1]) != path_avoiding(g, 0, n - 1, p))
     return report
 
 

@@ -3,10 +3,10 @@
 All randomised commands take a mandatory seed, and every subcommand except
 ``bench`` is byte-deterministic for a fixed (command, input, seed).  Exit
 codes: 0 success, 1 verification mismatch, 2 usage (also a vertex out of
-range, s and t disconnected, or a size below what a family, a verify suite
-or a reduction can build), 3 format error (malformed graph, timeline, query
-or snapshot file, or one that is not UTF-8 text), 4 I/O error.  Every error
-is one line on stderr.
+range, s and t disconnected, a size below what a family, a verify suite
+or a reduction can build, or a verify sweep with nothing to check), 3 format
+error (malformed graph, timeline, query or snapshot file, or one that is not
+UTF-8 text), 4 I/O error.  Every error is one line on stderr.
 
 Only the graph module is imported at start-up: each command imports the
 solver it runs, so ``frp --faults 2`` loads no three-failure or offline
@@ -292,6 +292,10 @@ def cmd_verify(args) -> int:
             if not report.match:
                 bad += 1
                 out.fh.write(report.to_json() + "\n")
+    if checked == 0:
+        out.close()
+        raise UsageError(f"--suite {args.suite} --n {args.n} --seeds {args.seeds} "
+                         "has nothing to check")
     out.line({"suite": args.suite, "n": args.n, "seeds": args.seeds,
               "checked": checked, "mismatches": bad})
     out.close()

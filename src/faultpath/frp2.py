@@ -3,12 +3,12 @@
 The auxiliary graph H drops every edge of pi(s, t) and adds, per failed path
 edge d, two terminals wired to the path prefix and suffix with weights
 shifted by a large constant N.  A single-failure query between d's terminals
-then reads off two-failure distances in the base graph.  Pairs with both
-failures on the path are handled by a dynamic program over the interval
-between them, swept in both traversal orders.  The sweep reads two hookup
-tables: U (leave the path before the first failure, re-enter it at a) and U'
-(leave the path at b, re-enter it after the second failure).  The graph is
-undirected, so U' is U on the mirrored path, read from t back to s.
+then reads off two-failure distances with one failure on the path.  Pairs
+with both failures on the path are answered by a dynamic program over the
+interval between them, swept in both traversal orders, from two hookup
+tables alone: U (leave the path before the first failure, re-enter it at a)
+and U' (leave the path at b, re-enter it after the second failure).  The
+graph is undirected, so U' is U on the mirrored path, read from t back to s.
 """
 from __future__ import annotations
 
@@ -143,7 +143,7 @@ class AuxGraphH:
     n_big: int
     term_minus: list[int]
     term_plus: list[int]
-    star_info: dict[int, tuple[str, int, int]]  # star eid -> (side, pos k, path pos of x')
+    star_info: dict[int, tuple[str, int]]  # star eid -> (side, path pos of x')
     forest: SptForest
 
     def two_term_value(self, length: Optional[W]) -> Optional[int]:
@@ -170,7 +170,7 @@ class AuxGraphH:
             if info is None:
                 out.append(eid)
                 continue
-            side, _, ppos = info
+            side, ppos = info
             if side == "-":
                 out.extend(self.path_eids[:ppos])
             else:
@@ -200,7 +200,7 @@ def build_H(graph: Graph, path_verts: list[int], path_eids: list[int],
         h._next_eid = max(h._next_eid, star_start)
         term_minus = []
         term_plus = []
-        star_info: dict[int, tuple[str, int, int]] = {}
+        star_info: dict[int, tuple[str, int]] = {}
         for k in range(h_edges):
             dm = n + 2 * k
             dp = n + 2 * k + 1
@@ -208,10 +208,10 @@ def build_H(graph: Graph, path_verts: list[int], path_eids: list[int],
             term_plus.append(dp)
             for ppos in range(k + 1):
                 w = W(pre[ppos].base + n_big, rng.randrange(1, TIE_RANGE))
-                star_info[h.add_edge(dm, path_verts[ppos], w)] = ("-", k, ppos)
+                star_info[h.add_edge(dm, path_verts[ppos], w)] = ("-", ppos)
             for ppos in range(k + 1, h_edges + 1):
                 wsuf = W(total.base - pre[ppos].base + n_big, rng.randrange(1, TIE_RANGE))
-                star_info[h.add_edge(dp, path_verts[ppos], wsuf)] = ("+", k, ppos)
+                star_info[h.add_edge(dp, path_verts[ppos], wsuf)] = ("+", ppos)
         forest = SptForest.build(h)
         if not any(tree.tied for tree in forest.spts):
             return AuxGraphH(graph, path_verts, path_eids, h, n_big,
@@ -264,7 +264,7 @@ class OffPathMatrix:
 @dataclass
 class BothOnAnswer:
     base: Optional[int]
-    winner: Optional[tuple] = None  # reconstruction witness
+    winner: Optional[tuple[int, int, int, int]] = None  # (w, a, b, z)
 
 
 class Frp2Solver:
@@ -288,6 +288,7 @@ class Frp2Solver:
         self.pos_of_eid = {eid: k for k, eid in enumerate(self.path_eids)}
         self.pre = path_prefix(graph, self.path_eids)
         self._rp_sets: dict[int, frozenset] = {}
+        self._both: dict[tuple[int, int], BothOnAnswer] = {}
 
     # -- cached parts ------------------------------------------------------
 
@@ -309,58 +310,65 @@ class Frp2Solver:
     def matrix(self) -> OffPathMatrix:
         return OffPathMatrix(self.aux)
 
-    def _term_dist(self, d1_pos: int) -> list[Optional[W]]:
-        """H distances from d1's minus-terminal to everything."""
-        return self.aux.forest.spts[self.aux.term_minus[d1_pos]].dist
+    @cached_property
+    def coords(self) -> tuple[PathCoords, PathCoords]:
+        """The path's coordinates, and the same path read from t back to s."""
+        c = PathCoords(self.pre, self.matrix.dist)
+        return c, mirror_coords(c)
 
-    # -- the U / U' / W machinery -------------------------------------------
+    # -- both failures on the path -------------------------------------------
 
     @cached_property
     def hookup_tables(self) -> tuple[list, list]:
         """``hookups`` on the path (U) and on the mirrored path (U')."""
-        c = PathCoords(self.pre, self.matrix.dist)
-        return hookups(c), hookups(mirror_coords(c))
+        c, mirror = self.coords
+        return hookups(c), hookups(mirror)
 
     def both_on_path(self, l: int, r: int) -> BothOnAnswer:
-        """Exact answer for failures at path positions l < r."""
+        """Exact answer for failures at path positions l < r, swept once.
+
+        The route leaves at w <= l, rejoins the middle at a, walks to b and
+        leaves at b for z > r; a = b = z when it skips the middle.  Its
+        length is read off U and U' and compared in full, so base-equal
+        routes are decided by the graph's own ties.  The winner is (w, a, b, z).
+        """
+        ans = self._both.get((l, r))
+        if ans is not None:
+            return ans
         assert l < r
-        h = len(self.path_eids)
-        # direct H value: avoid the whole middle interval
-        td = self._term_dist(l)
-        hv = self.aux.two_term_value(td[self.aux.term_plus[r]])
-        best: Optional[int] = None
-        winner: Optional[tuple] = None
-        if hv is not None:
-            best = hv
-            winner = ("H", l, r)
+        L, pre = len(self.path_eids), self.pre
         # U row for l: diverge at w <= l, re-enter at a; U' row for r, read
-        # mirrored: leave at b, re-enter at z = h - w > r
+        # mirrored: leave at b, re-enter at z = L - w > r
         u, u_mirror = self.hookup_tables
-        u_row, up_row = u[l], u_mirror[h - 1 - r]
-
-        def edge_w(pos: int) -> W:
-            return self.graph.edges[self.path_eids[pos]].w
-
-        # backward order: converge at a >= b, walk down to b, leave at b;
-        # forward order: converge at a <= b, walk up to b, leave at b
-        for kind, order in (("rev", range(r, l, -1)), ("fwd", range(l + 1, r + 1))):
+        u_row, up_row = u[l], u_mirror[L - 1 - r]
+        best: Optional[W] = None
+        winner = None
+        for z in range(r + 1, L + 1):
+            hook = u_row[z]
+            if hook is not None:
+                tot = hook[0] + (pre[L] - pre[z])
+                if best is None or tot < best:
+                    best, winner = tot, (hook[1], z, z, z)
+        # converge at a >= b and walk down to b, then at a <= b and walk up
+        for order in (range(r, l, -1), range(l + 1, r + 1)):
             prev: Optional[tuple[W, int, int]] = None  # best (leg, w, a) at b_prev
             for b in order:
                 cand = None
                 if u_row[b] is not None:
                     cand = (u_row[b][0], u_row[b][1], b)
                 if prev is not None:
-                    stepped = (prev[0] + edge_w(min(b, b_prev)), prev[1], prev[2])
+                    lo = min(b, b_prev)
+                    stepped = (prev[0] + (pre[lo + 1] - pre[lo]), prev[1], prev[2])
                     if cand is None or stepped[0] < cand[0]:
                         cand = stepped
                 prev, b_prev = cand, b
-                up = up_row[h - b]
+                up = up_row[L - b]
                 if cand is not None and up is not None:
-                    tot = (cand[0] + up[0]).base
+                    tot = cand[0] + up[0]
                     if best is None or tot < best:
-                        best = tot
-                        winner = (kind, l, r, cand[1], cand[2], b, h - up[1])
-        return BothOnAnswer(best, winner)
+                        best, winner = tot, (cand[1], cand[2], b, L - up[1])
+        ans = self._both[(l, r)] = BothOnAnswer(None if best is None else best.base, winner)
+        return ans
 
     # -- public answers ------------------------------------------------------
 
@@ -404,28 +412,13 @@ class Frp2Solver:
             return path
         if p2 == d1_pos:
             return self.frp1.paths[d1_pos]
-        l, r = min(d1_pos, p2), max(d1_pos, p2)
-        ans = self.both_on_path(l, r)
+        ans = self.both_on_path(min(d1_pos, p2), max(d1_pos, p2))
         if ans.base is None:
             return None
-        return self._expand_both_winner(ans.winner)
-
-    def _expand_both_winner(self, winner: tuple) -> list[int]:
-        kind = winner[0]
+        w, a, b, z = ans.winner
         m = self.matrix
-        if kind == "H":
-            l, r = winner[1], winner[2]
-            td_tree = self.aux.forest.spts[self.aux.term_minus[l]]
-            hpath = td_tree.path_edges(self.aux.term_plus[r])
-            return self.aux.expand_h_edges(hpath)
-        _, l, r, w, a, b, z = winner
-        out = list(self.path_eids[:w])
-        out.extend(m.path(w, a))
-        lo, hi = min(a, b), max(a, b)
-        out.extend(self.path_eids[lo:hi])
-        out.extend(m.path(b, z))
-        out.extend(self.path_eids[z:])
-        return out
+        return (self.path_eids[:w] + m.path(w, a) + self.path_eids[min(a, b):max(a, b)]
+                + m.path(b, z) + self.path_eids[z:])
 
 
 def iter_required_pairs(solver: Frp2Solver) -> Iterator[tuple[int, int]]:

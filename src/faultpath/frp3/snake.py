@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..frp2 import OffPathMatrix, PathCoords, mirror_coords, path_prefix
+from ..frp2 import PathCoords
 from ..weights import CompositeWeight as W
 from .oracles import OracleA, OracleB
-from .partition import PaddedInstance
 
 
 Seg = tuple[int, int]  # vertex interval on the padded path
@@ -61,13 +60,13 @@ class IntervalOracles:
 
 
 class SnakeOracles(IntervalOracles):
-    """A and B over one padded instance, and ``mirror``: the pair over the
-    same path read from t back to s."""
+    """A and B over a 2^k-edge path, and ``mirror``: the pair over the same
+    path read from t back to s.  ``coords`` holds both coordinate sets, as
+    ``Frp2Solver.coords`` builds them."""
 
-    def __init__(self, inst: PaddedInstance, matrix: OffPathMatrix):
-        coords = PathCoords(path_prefix(inst.graph, inst.path_eids), matrix.dist)
-        super().__init__(coords, inst.k)
-        self.mirror = IntervalOracles(mirror_coords(coords), inst.k)
+    def __init__(self, coords: tuple[PathCoords, PathCoords], k: int):
+        super().__init__(coords[0], k)
+        self.mirror = IntervalOracles(coords[1], k)
 
 
 def _intervals_of_cuts(cuts: list[int], L: int) -> list[Seg]:

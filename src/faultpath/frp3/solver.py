@@ -7,8 +7,13 @@ original path:
 
 - one: a query between the failure's terminals in the auxiliary graph with
   the second failure deleted (offline deletion sweep) and the third avoided;
-- two: the four-candidate minimum over the partition level separating them,
-  each candidate one query against a level graph's offline deletion sweep;
+- two: queries against the offline deletion sweeps of the two level graphs
+  at the partition level separating them: terminal to terminal (full), and
+  through the level's marker m (s -> m, m -> t); the answer is the smaller
+  of the best full value and the best s -> m plus the best m -> t.  H's own
+  oracle is not queried: the even sweep's leaf for the left failure is its
+  level graph minus that edge, which holds all of H, so the full answer
+  there is never above H's;
 - three: interval-oracle candidates plus the probe-loop snake answers.
 
 The auxiliary graph H, its oracle and its off-path matrix are the
@@ -70,7 +75,7 @@ class Frp3Solver:
         self.aux = self.frp2.aux
         self.levels = {(i, parity): level_graph(self.aux, self.partition, i, parity)
                        for i in range(1, P.k + 1) for parity in (0, 1)}
-        self.snakes = SnakeOracles(P, self.frp2.matrix)
+        self.snakes = SnakeOracles(self.frp2.coords, P.k)
         self.stats = Frp3Stats()
         self._pad_eids = set(P.path_eids[:P.pad])
 
@@ -161,9 +166,7 @@ class Frp3Solver:
         for key in keys:
             _, le, re, f = key
             i, j, m_pos = self.partition.separator(le, re)
-            ln, _ = self.frp2.h_dso.query_edge_failure(
-                aux.term_minus[le], aux.term_plus[re], f)
-            runs[key] = (P.path_verts[m_pos], [aux.two_term_value(ln), None, None])
+            runs[key] = (P.path_verts[m_pos], [None, None, None])
             level_batch.setdefault((i, 0), {}).setdefault(le, []).append(key)
             level_batch.setdefault((i, 1), {}).setdefault(re, []).append(key)
 

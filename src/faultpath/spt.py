@@ -318,11 +318,6 @@ class SptForest:
         """Position (hops from u) of z on pi(u, v); z must be on the path."""
         return self.spts[u].depth[z]
 
-    def edge_at(self, u: int, v: int, pos: int) -> int:
-        """Edge id at position ``pos`` (between pos and pos+1) on pi(u, v)."""
-        child = self.spts[u].ancestor_at_depth(v, pos + 1)
-        return self.spts[u].parent_edge[child]  # type: ignore[return-value]
-
     def edge_pos(self, u: int, v: int, eid: int) -> Optional[int]:
         """Position of edge ``eid`` on pi(u, v), or None if off the path."""
         tree = self.spts[u]

@@ -216,6 +216,7 @@ def test_bench_frp2_report(tmp_path):
     for row in rep["sizes"]:
         assert len(row["runs"]) == 2 and not row["timed_out"]
         assert row["pairs"] > 0 and row["mismatches"] == 0
+        assert row["path_mismatches"] == 0
         assert row["naive_median"] >= 0
         assert 0 < row["h_pairs_filled"] < row["h_pairs_held"]
     assert "machine" in rep and rep["slope"] is not None
@@ -379,6 +380,13 @@ def without_pairs(data: bytes) -> bytes:
                  id="verify-ssrp-too-small"),
     pytest.param(2, ["verify", "--suite", "offline", "--n", "1", "--seeds", "1"],
                  id="verify-offline-too-small"),
+    # sweeps whose graphs hold no required pair or triple
+    pytest.param(2, ["verify", "--suite", "frp2", "--n", "2", "--seeds", "1"],
+                 id="verify-frp2-nothing-checked"),
+    pytest.param(2, ["verify", "--suite", "frp3", "--n", "3", "--seeds", "1"],
+                 id="verify-frp3-nothing-checked"),
+    pytest.param(2, ["verify", "--suite", "dso", "--n", "1", "--seeds", "1"],
+                 id="verify-dso-nothing-checked"),
     pytest.param(2, ["gen", "hardness", "--graph", "{single}", "--out", "{single}.out",
                      "--map", "{single}.map"], id="gen-hardness-one-vertex"),
 ])

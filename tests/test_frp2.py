@@ -153,15 +153,21 @@ def test_both_on_path_all_pairs_oracle():
 
 
 def test_both_on_adjacent_reduces_to_H_value():
+    # H's terminal-to-terminal distance avoids the whole middle, so it bounds
+    # every answer from above and is the answer when the middle is one vertex
     g = random_connected(18, seed=3)
     sol = Frp2Solver(g, 0, 17)
+    aux = sol.aux
     h = len(sol.path_eids)
     for l in range(h - 1):
-        r = l + 1
-        got = sol.both_on_path(l, r)
-        td = sol._term_dist(l)
-        hval = sol.aux.two_term_value(td[sol.aux.term_plus[r]])
-        assert got.base == hval
+        td = aux.forest.spts[aux.term_minus[l]].dist
+        for r in range(l + 1, h):
+            got = sol.both_on_path(l, r).base
+            hval = aux.two_term_value(td[aux.term_plus[r]])
+            if r == l + 1:
+                assert got == hval
+            elif hval is not None:
+                assert got is not None and got <= hval
 
 
 # detour_rich(12, 0) adds 99 pairs with both failures on the path; their
@@ -193,6 +199,23 @@ def test_rp2_paths_replay_exactly(family, n, seed):
         assert total == want
 
 
+@pytest.mark.parametrize("family,n,seed", [(detour_rich, 12, 0), (detour_rich, 16, 0),
+                                           (detour_rich, 20, 1), (random_connected, 20, 6)],
+                         ids=["detour_rich-12-0", "detour_rich-16-0", "detour_rich-20-1",
+                              "random_connected-20-6"])
+def test_both_on_rp2_paths_are_the_reference_paths(family, n, seed):
+    # base-equal routes are decided by the graph's ties, as in the reference
+    g = family(n, seed=seed)
+    sol = Frp2Solver(g, 0, n - 1)
+    checked = 0
+    for d1, d2 in iter_required_pairs(sol):
+        if sol.pos_on_st(d2) is None:
+            continue
+        assert sol.rp2_path(sol.pos_on_st(d1), d2) == path_avoiding(g, 0, n - 1, [d1, d2])
+        checked += 1
+    assert checked > 0
+
+
 def test_both_on_backward_order_wins():
     # leave at 1, re-enter at 3, walk back over edge 2 to vertex 2, leave
     # again and re-enter at t: only the backward order converges at a >= b
@@ -201,7 +224,7 @@ def test_both_on_backward_order_wins():
     sol = Frp2Solver(g, 0, 5)
     d1, d2 = sol.path_eids[1], sol.path_eids[3]
     got = sol.both_on_path(1, 3)
-    assert got.winner == ("rev", 1, 3, 1, 3, 2, 5)
+    assert got.winner == (1, 3, 2, 5)
     assert got.base == 17 == dist_avoiding(g, 0, 5, [d1, d2]).base
     p = sol.rp2_path(1, d2)
     assert d1 not in p and d2 not in p

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from faultpath.families import detour_rich, random_connected
-from faultpath.frp2 import OffPathMatrix, build_H
+from faultpath.frp2 import Frp2Solver
 from faultpath.frp3.oracles import DisjointnessViolated, decompose
 from faultpath.frp3.partition import pad_to_power_of_two
 from faultpath.frp3.snake import SnakeOracles
@@ -12,9 +12,9 @@ from faultpath.frp3.snake import SnakeOracles
 def make(n=18, seed=3, family=random_connected):
     g = family(n, seed=seed)
     inst = pad_to_power_of_two(g, 0, n - 1, seed=seed)
-    matrix = OffPathMatrix(build_H(inst.graph, inst.path_verts, inst.path_eids))
-    snakes = SnakeOracles(inst, matrix)
-    return g, inst, matrix, snakes.a.c, snakes.a, snakes.b, snakes.mirror.b
+    sol = Frp2Solver(inst.graph, inst.s, inst.t, spt=inst.spt)
+    snakes = SnakeOracles(sol.coords, inst.k)
+    return g, inst, sol.matrix, snakes.a.c, snakes.a, snakes.b, snakes.mirror.b
 
 
 def brute_a(coords, sig, tau, iv1, iv2):

@@ -6,7 +6,8 @@ import pytest
 
 from faultpath.families import cycle, detour_rich, fixed_c8_family, path, \
     random_connected
-from faultpath.frp2 import OffPathMatrix, build_H
+from faultpath.dso.static import IncrementalDso
+from faultpath.frp2 import Frp2Solver
 from faultpath.frp3.partition import pad_to_power_of_two
 from faultpath.frp3.snake import PairProbeLoop, SnakeOracles, snake_through
 from faultpath.frp3.solver import Frp3Solver, solve_3frp
@@ -16,8 +17,8 @@ from faultpath.spt import dijkstra
 
 def snake_setup(g, seed=0):
     inst = pad_to_power_of_two(g, 0, g.n - 1, seed=seed)
-    matrix = OffPathMatrix(build_H(inst.graph, inst.path_verts, inst.path_eids))
-    return inst, SnakeOracles(inst, matrix)
+    sol = Frp2Solver(inst.graph, inst.s, inst.t, spt=inst.spt)
+    return inst, SnakeOracles(sol.coords, inst.k)
 
 
 def test_snake_through_two_sided_vs_exhaustive():
@@ -150,6 +151,35 @@ def test_setup_runs_no_dijkstra_on_a_level_graph(monkeypatch):
     assert seen
     assert not any(g is level for g in seen for level in sol.levels.values())
     assert sol.aux is sol.frp2.aux
+
+
+def test_two_on_pass_never_queries_H_oracle(monkeypatch):
+    # the even level sweep's leaf holds all of H, so the 2on pass needs no
+    # seed from H's own oracle; its values are checked against brute force
+    # elsewhere
+    queried = []
+    in_two_on = []
+    raw_query = IncrementalDso.query_edge_failure
+    raw_two_on = Frp3Solver._solve_two_on
+
+    def query(dso, *args, **kwargs):
+        if in_two_on:
+            queried.append(dso)
+        return raw_query(dso, *args, **kwargs)
+
+    def two_on(sol, keys, answers):
+        in_two_on.append(keys)
+        try:
+            return raw_two_on(sol, keys, answers)
+        finally:
+            in_two_on.pop()
+
+    monkeypatch.setattr(IncrementalDso, "query_edge_failure", query)
+    monkeypatch.setattr(Frp3Solver, "_solve_two_on", two_on)
+    sol = Frp3Solver(detour_rich(12, seed=4), 0, 11, seed=4)
+    stats = sol.solve(lambda *a: None)
+    assert stats.by_case["2on"] > 0 and queried
+    assert all(dso is not sol.frp2.h_dso for dso in queried)
 
 
 @pytest.mark.parametrize("n", [12, 9], ids=["padded", "unpadded"])

@@ -189,7 +189,7 @@ def test_intersects_interval_matches_edge_sets(g_mid):
         pb = rng.randrange(pa + 1, h + 1)
         iv_eids = set(f.path_edge_ids(u, v)[pa:pb])
         # take a replacement path as the proper-form candidate
-        f_eid = f.edge_at(u, v, rng.randrange(h))
+        f_eid = f.path_edge_ids(u, v)[rng.randrange(h)]
         rp = path_avoiding(g, u, v, [f_eid])
         if rp is None:
             continue
@@ -210,8 +210,7 @@ def test_proper_form_faithfulness_one_fault():
             for v in range(n):
                 if u == v:
                     continue
-                for pos in range(f.hops(u, v)):
-                    eid = f.edge_at(u, v, pos)
+                for eid in f.path_edge_ids(u, v):
                     rp = path_avoiding(g, u, v, [eid])
                     if rp is None:
                         continue
@@ -261,7 +260,7 @@ def _candidates(g, old, table, rng):
                 yield join(walk(old, u, a), _edge(e, a), walk(old, e.other(a), v))
         h = old.hops(u, v)
         if h:
-            rp = path_avoiding(g, u, v, [old.edge_at(u, v, rng.randrange(h))])
+            rp = path_avoiding(g, u, v, [old.path_edge_ids(u, v)[rng.randrange(h)]])
             if rp:
                 yield edge_walk(g, u, rp)
         start, eids = u, []

@@ -118,7 +118,7 @@ def test_forest_path_positions(g_mid):
                     assert not f.on_path(u, v, z)
             eids = f.path_edge_ids(u, v)
             for pos, eid in enumerate(eids):
-                assert f.edge_at(u, v, pos) == eid
+                assert f.edge_pos(u, v, eid) == pos
 
 
 def _bridged():
