@@ -23,7 +23,7 @@ from . import families
 from .dso.incremental import insert_edge
 from .dso.static import IncrementalDso
 from .frp2 import Frp2Solver, iter_required_pairs
-from .frp3.solver import solve_3frp
+from .frp3.solver import Frp3Solver
 from .graph import SizeError, dump_graph_text, load_graph
 from .reference import dist_avoiding, path_avoiding
 
@@ -56,7 +56,8 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
     timed out; a timed-out row carries no runs, median or triple count, and
     only completed rows enter the slope fit.  A completed row also counts
     the pairs the offline sweeps' lazy layers filled against the pairs they
-    held, from one more solve in this process, outside the timing.
+    held, the padded path's length ``hops`` and the oracle A entries held
+    after the solve, from one more solve in this process, outside the timing.
     """
     rows = []
     # every size is built before the first run, so one too small fails at once
@@ -96,10 +97,11 @@ def bench_frp3(sizes: list[int], seed: int, repeats: int,
                     break
                 runs.append(elapsed)
             if not timed_out:
-                stats = solve_3frp(load_graph(gpath, seed), 0, n - 1,
-                                   lambda *_: None, seed=seed)
+                sol = Frp3Solver(load_graph(gpath, seed), 0, n - 1, seed=seed)
+                stats = sol.solve(lambda *_: None)
                 demand = {"pairs_filled": stats.pairs_filled,
-                          "pairs_held": stats.pairs_held}
+                          "pairs_held": stats.pairs_held,
+                          "hops": sol.inst.hops, "a_entries": stats.a_entries}
         finally:
             os.unlink(gpath)
         runs = [] if timed_out else [round(x, 4) for x in runs]

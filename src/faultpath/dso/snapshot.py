@@ -72,9 +72,11 @@ def _parse(data: bytes, seed: int) -> IncrementalDso:
         eid, u, v, base, tie = struct.unpack_from("<IIIqq", data, off)
         off += struct.calcsize("<IIIqq")
         g.add_edge(u, v, W(base, tie), eid=eid)
-    forest = SptForest.build(g)
     (npairs,) = struct.unpack_from("<I", data, off)
     off += 4
+    if len(data) - off < 12 * npairs:  # each pair record is at least 12 bytes
+        raise SnapshotError("truncated snapshot")
+    forest = SptForest.build(g)
     table: dict = {}
     for _ in range(npairs):
         u, v, cnt = struct.unpack_from("<III", data, off)

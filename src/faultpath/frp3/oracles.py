@@ -24,7 +24,10 @@ every entry:
 
 Suffix-side values (leave a part, visit another, converge after a failure
 and run to t) are oracle B's values on the mirrored path, position i read as
-L - i (``frp2.mirror_coords``).
+L - i (``frp2.mirror_coords``), on the path's A read through a flip
+(``MirrorA``).  As L is a power of two, the flip maps items onto items and
+children onto children, and mirrored walks and off-path distances are the
+path's at flipped positions, so each entry and witness carries over exactly.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ class DisjointnessViolated(ValueError):
 
 
 Item = tuple  # ("v", pos) or ("r", lo_edge, hi_edge)
+_FLIP = {"l": "r", "r": "l"}  # an anchor side read on the mirrored path
 
 
 def item_left(it: Item) -> int:
@@ -164,6 +168,22 @@ class OracleA:
                     best = _better(best, (v[0] + g1 + g2, v[1]))
         self._qmemo[key] = best
         return best
+
+
+class MirrorA(OracleA):
+    """Oracle A on the mirrored path, holding no entries: it reads the
+    path's A at ("v", L - p) for ("v", p) and at ("r", L-1-hi, L-1-lo) for
+    ("r", lo, hi), with the sides swapped and each witness x read as L - x."""
+
+    def __init__(self, path_a: OracleA, coords: PathCoords):
+        self.path_a, self.c, self.k, self._qmemo = path_a, coords, path_a.k, {}
+
+    def entry(self, sig: str, tau: str, it1: Item, it2: Item):
+        L = self.c.L
+        it1 = ("v", L - it1[1]) if it1[0] == "v" else ("r", L - 1 - it1[2], L - 1 - it1[1])
+        it2 = ("v", L - it2[1]) if it2[0] == "v" else ("r", L - 1 - it2[2], L - 1 - it2[1])
+        val = self.path_a.entry(_FLIP[sig], _FLIP[tau], it1, it2)
+        return None if val is None else (val[0], (L - val[1][0], L - val[1][1]))
 
 
 class OracleB:

@@ -6,9 +6,10 @@ path forced through a chosen vertex or edge by composing one B-type and one
 A-type oracle value around the crossing point.  ``_second_visit`` covers the
 paths that cross it on their second visit; a path that crosses it on its
 first visit is, read from t back to s, a second-visit path on the mirrored
-path, so one rule serves both.  ``PairProbeLoop`` answers
-every middle failure between a fixed outer pair by probing middle edges; the
-squared-interval potential drops geometrically, so O(log) stages suffice.
+path (whose B reads the path's A through a flip), so one rule serves both.
+``PairProbeLoop`` answers every middle failure between a fixed outer pair by
+probing middle edges; the squared-interval potential drops geometrically, so
+O(log) stages suffice.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Optional
 
 from ..frp2 import PathCoords
 from ..weights import CompositeWeight as W
-from .oracles import OracleA, OracleB
+from .oracles import MirrorA, OracleA, OracleB
 
 
 Seg = tuple[int, int]  # vertex interval on the padded path
@@ -50,23 +51,16 @@ class SnakeHit:
         return self.length.base
 
 
-class IntervalOracles:
-    """Oracles A and B over one set of path coordinates."""
-
-    def __init__(self, coords: PathCoords, k: int):
-        self.a = OracleA(coords, k)
-        self.b = OracleB(self.a)
-        self.L = coords.L
-
-
-class SnakeOracles(IntervalOracles):
-    """A and B over a 2^k-edge path, and ``mirror``: the pair over the same
-    path read from t back to s.  ``coords`` holds both coordinate sets, as
-    ``Frp2Solver.coords`` builds them."""
+class SnakeOracles:
+    """A and B over a 2^k-edge path, and ``mirror``: B over the same path
+    read from t back to s, on a ``MirrorA`` flip of A.  ``coords`` holds
+    both coordinate sets, as ``Frp2Solver.coords`` builds them."""
 
     def __init__(self, coords: tuple[PathCoords, PathCoords], k: int):
-        super().__init__(coords[0], k)
-        self.mirror = IntervalOracles(coords[1], k)
+        self.a = OracleA(coords[0], k)
+        self.b = OracleB(self.a)
+        self.mirror = OracleB(MirrorA(self.a, coords[1]))
+        self.L = coords[0].L
 
 
 def _intervals_of_cuts(cuts: list[int], L: int) -> list[Seg]:
@@ -88,7 +82,7 @@ def snake_through(oracles: SnakeOracles, cuts: list[int], x) -> Optional[SnakeHi
     """
     L = oracles.L
     kind, pos = x
-    best = _second_visit(oracles, cuts, x)
+    best = _second_visit(oracles.b, cuts, x)
     # x's interval visited first: the second-visit path of the mirror,
     # whose visits come back flipped and in the other order
     got = _second_visit(oracles.mirror, [L - 1 - c for c in reversed(cuts)],
@@ -99,21 +93,21 @@ def snake_through(oracles: SnakeOracles, cuts: list[int], x) -> Optional[SnakeHi
     return best
 
 
-def _second_visit(side: IntervalOracles, cuts: list[int], x) -> Optional[SnakeHit]:
+def _second_visit(side: OracleB, cuts: list[int], x) -> Optional[SnakeHit]:
     """Best two-visit path through ``x`` that crosses it on its second visit.
 
     The source leg visits another middle interval and converges into one
     part of x's interval (oracle B); the path crosses x to the other part
     and leaves it from the anchor next to x for the last interval (oracle A).
     """
-    ivs = _intervals_of_cuts(cuts, side.L)
+    ivs = _intervals_of_cuts(cuts, side.c.L)
     last, middles = ivs[-1], ivs[1:-1]
     kind, pos = x
     e = 1 if kind == "e" else 0  # x spans positions pos .. pos + e
     lo, hi = next(iv for iv in middles if iv[0] <= pos and pos + e <= iv[1])
     left_part: Seg = (lo, pos)
     right_part: Seg = (pos + e, hi)
-    cross = side.a.c.walk(pos, pos + e)
+    cross = side.c.walk(pos, pos + e)
     best: Optional[SnakeHit] = None
     # crossing right to left, then left to right: B converges into one part
     # at the anchor facing x, A leaves the other part from its anchor facing x
@@ -126,8 +120,8 @@ def _second_visit(side: IntervalOracles, cuts: list[int], x) -> Optional[SnakeHi
         # interval), so the enumeration includes x's own interval with
         # overlapping index ranges
         for other in middles:
-            got = side.b.query("l" if anchor == "r" else "r", cuts[0], other, into,
-                               allow_overlap=True)
+            got = side.query("l" if anchor == "r" else "r", cuts[0], other, into,
+                             allow_overlap=True)
             if got is None:
                 continue
             bw, (_, y1, y2, z) = got

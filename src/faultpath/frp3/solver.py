@@ -48,6 +48,7 @@ class Frp3Stats:
     loop_bounds_ok: bool = True
     pairs_filled: int = 0  # pairs the sweeps' lazy layers filled ...
     pairs_held: int = 0    # ... against the connected pairs they held
+    a_entries: int = 0     # oracle A entries held after the solve
 
 
 def _omin(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -130,6 +131,7 @@ class Frp3Solver:
             self.stats.triples += 1
             self.stats.by_case[kind] += 1
             sink(d1_eid, d2, d3, answers[key], kind)
+        self.stats.a_entries = len(self.snakes.a._memo)
         return self.stats
 
     # -- pass 1: one failure on the path ------------------------------------

@@ -236,6 +236,7 @@ def test_bench_frp3_row_counts_lazy_pairs(tmp_path, monkeypatch):
     row, = bench_frp3([8], seed=0, repeats=1, budget=None)["sizes"]
     assert row["triples"] == 211 and len(row["runs"]) == 1
     assert 0 < row["pairs_filled"] < row["pairs_held"]
+    assert row["hops"] == 8 and row["a_entries"] > 0
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from faultpath.families import detour_rich, random_connected
-from faultpath.frp2 import Frp2Solver
+from faultpath.frp2 import Frp2Solver, mirror_coords
 from faultpath.frp3.oracles import DisjointnessViolated, decompose
 from faultpath.frp3.partition import pad_to_power_of_two
 from faultpath.frp3.snake import SnakeOracles
@@ -14,7 +14,7 @@ def make(n=18, seed=3, family=random_connected):
     inst = pad_to_power_of_two(g, 0, n - 1, seed=seed)
     sol = Frp2Solver(inst.graph, inst.s, inst.t, spt=inst.spt)
     snakes = SnakeOracles(sol.coords, inst.k)
-    return g, inst, sol.matrix, snakes.a.c, snakes.a, snakes.b, snakes.mirror.b
+    return g, inst, sol.matrix, snakes.a.c, snakes.a, snakes.b, snakes.mirror
 
 
 def brute_a(coords, sig, tau, iv1, iv2):
@@ -103,47 +103,49 @@ def test_decompose_covers_exactly():
 def test_oracle_a_single_vertices():
     g, inst, matrix, coords, oa, ob, obm = make()
     L = inst.hops
-    for x in range(0, L + 1, 3):
-        for y in range(0, L + 1, 3):
-            if x == y:
-                continue
-            got = oa.query("l", "l", (x, x), (y, y))
-            want = coords.off(x, y)
-            if want is None:
-                assert got is None
-            else:
-                assert got[0] == want and got[1] == (x, y)
+    # the path's A, and the mirror's A (the path's read through a flip)
+    for c, a in ((coords, oa), (mirror_coords(coords), obm.a)):
+        for x in range(0, L + 1, 3):
+            for y in range(0, L + 1, 3):
+                if x == y:
+                    continue
+                got = a.query("l", "l", (x, x), (y, y))
+                want = c.off(x, y)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[0] == want and got[1] == (x, y)
 
 
 def test_oracle_a_random_intervals_vs_brute():
     for family, seed in ((random_connected, 3), (detour_rich, 1)):
         g, inst, matrix, coords, oa, ob, obm = make(14, seed, family)
         L = inst.hops
-        rng = random.Random(7)
-        checked = 0
-        for _ in range(250):
-            lo1 = rng.randrange(L + 1)
-            hi1 = rng.randrange(lo1, L + 1)
-            lo2 = rng.randrange(L + 1)
-            hi2 = rng.randrange(lo2, L + 1)
-            if max(lo1, lo2) <= min(hi1, hi2):
-                continue
-            sig = rng.choice("lr")
-            tau = rng.choice("lr")
-            got = oa.query(sig, tau, (lo1, hi1), (lo2, hi2))
-            want = brute_a(coords, sig, tau, (lo1, hi1), (lo2, hi2))
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and got[0] == want
-                # witness re-derives the value
-                x, y = got[1]
-                a1 = lo1 if sig == "l" else hi1
-                a2 = lo2 if tau == "l" else hi2
-                assert (coords.walk(a1, x) + coords.off(x, y)
-                        + coords.walk(y, a2)) == want
-            checked += 1
-        assert checked > 60
+        for c, a in ((coords, oa), (mirror_coords(coords), obm.a)):
+            rng = random.Random(7)
+            checked = 0
+            for _ in range(250):
+                lo1 = rng.randrange(L + 1)
+                hi1 = rng.randrange(lo1, L + 1)
+                lo2 = rng.randrange(L + 1)
+                hi2 = rng.randrange(lo2, L + 1)
+                if max(lo1, lo2) <= min(hi1, hi2):
+                    continue
+                sig = rng.choice("lr")
+                tau = rng.choice("lr")
+                got = a.query(sig, tau, (lo1, hi1), (lo2, hi2))
+                want = brute_a(c, sig, tau, (lo1, hi1), (lo2, hi2))
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None and got[0] == want
+                    # witness re-derives the value
+                    x, y = got[1]
+                    a1 = lo1 if sig == "l" else hi1
+                    a2 = lo2 if tau == "l" else hi2
+                    assert c.walk(a1, x) + c.off(x, y) + c.walk(y, a2) == want
+                checked += 1
+            assert checked > 60
 
 
 def test_oracle_a_rejects_overlap():

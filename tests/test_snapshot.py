@@ -1,7 +1,10 @@
+import struct
+import tracemalloc
+
 import pytest
 
 from faultpath.dso.incremental import insert_edge
-from faultpath.dso.snapshot import SnapshotError, load_dso, save_dso
+from faultpath.dso.snapshot import FORMAT, MAGIC, SnapshotError, load_dso, save_dso
 from faultpath.dso.static import IncrementalDso
 from faultpath.families import random_connected
 from faultpath.pathform import ProperForm
@@ -48,6 +51,23 @@ def test_corrupt_length_detected(tmp_path):
     p.write_bytes(bytes(blob))
     with pytest.raises(SnapshotError):
         load_dso(str(p))
+
+
+@pytest.mark.parametrize("tail", [b"", struct.pack("<I", 10**6)],
+                         ids=["header-only", "pairs-missing"])
+def test_truncated_snapshot_rejected_before_building_trees(tmp_path, tail):
+    # a 2000-vertex graph whose pair table is absent or far shorter than its
+    # count: building its trees first would take seconds and hundreds of MB
+    p = tmp_path / "d.dso"
+    p.write_bytes(MAGIC + struct.pack("<HIiI", FORMAT, 2000, 0, 0) + tail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotError, match="truncated snapshot"):
+            load_dso(str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_entry_crossing_its_interval_rejected(tmp_path):
